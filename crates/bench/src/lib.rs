@@ -13,9 +13,49 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-/// The perf-trajectory file, at the workspace root.
+/// The perf-trajectory file, at the workspace root of the checkout the
+/// bench runs in ([`workspace_root`] of the current directory — cargo runs
+/// benches from the package directory). Resolved at run time, so a bench
+/// binary built into, or copied to, another target directory writes into
+/// the checkout it is run from, not the one it was compiled in.
 pub fn bench_json_path() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_explore.json")
+    let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
+    workspace_root(&cwd).join("BENCH_explore.json")
+}
+
+/// The nearest ancestor of `start` (itself included) whose `Cargo.toml`
+/// declares a `[workspace]`; `start` itself if there is none.
+fn workspace_root(start: &Path) -> PathBuf {
+    start
+        .ancestors()
+        .find(|dir| {
+            std::fs::read_to_string(dir.join("Cargo.toml"))
+                .is_ok_and(|toml| toml.lines().any(|l| l.trim() == "[workspace]"))
+        })
+        .unwrap_or(start)
+        .to_path_buf()
+}
+
+/// Key of the CPU-count stamp in every recorded section.
+const PARALLELISM_KEY: &str = "host_available_parallelism";
+
+/// Key of the revision stamp in every recorded section: the first seven
+/// hex digits of `git rev-parse HEAD`, read as a hexadecimal number (the
+/// file holds numbers only; `printf '%07x'` turns it back into the short
+/// hash).
+const GIT_REV_KEY: &str = "git_rev";
+
+/// The short revision of the checkout at `root` as a number (see
+/// [`GIT_REV_KEY`]), or `None` outside a git checkout.
+fn git_rev(root: &Path) -> Option<f64> {
+    let out = std::process::Command::new("git")
+        .args(["rev-parse", "--short=7", "HEAD"])
+        .current_dir(root)
+        .output()
+        .ok()
+        .filter(|o| o.status.success())?;
+    let hex = String::from_utf8_lossy(&out.stdout);
+    u32::from_str_radix(hex.trim().get(..7)?, 16).ok().map(f64::from)
 }
 
 /// Parse the two-level `{ "section": { "key": number } }` shape emitted by
@@ -68,8 +108,10 @@ pub fn render(data: &BTreeMap<String, BTreeMap<String, f64>>) -> String {
 }
 
 /// Merge `entries` into `section` of `BENCH_explore.json` (read-modify-
-/// write; other sections are preserved). Failures to write are reported,
-/// not fatal — a read-only checkout must not fail the bench run.
+/// write; other sections are preserved), stamped with the host's
+/// `available_parallelism` and the checkout's git revision so recorded
+/// numbers can be compared. Failures to write are reported, not fatal — a
+/// read-only checkout must not fail the bench run.
 pub fn record_bench_json(section: &str, entries: &[(&str, f64)]) {
     let path = bench_json_path();
     let mut data = std::fs::read_to_string(&path).map(|t| parse(&t)).unwrap_or_default();
@@ -77,6 +119,12 @@ pub fn record_bench_json(section: &str, entries: &[(&str, f64)]) {
     for (k, v) in entries {
         sec.insert((*k).to_string(), *v);
     }
+    let cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
+    sec.insert(PARALLELISM_KEY.to_string(), cpus as f64);
+    match path.parent().and_then(git_rev) {
+        Some(rev) => sec.insert(GIT_REV_KEY.to_string(), rev),
+        None => sec.remove(GIT_REV_KEY),
+    };
     let text = render(&data);
     match std::fs::write(&path, &text) {
         Ok(()) => eprintln!(
@@ -104,6 +152,15 @@ mod tests {
     fn render_parse_round_trips() {
         let m = sample();
         assert_eq!(parse(&render(&m)), m);
+    }
+
+    #[test]
+    fn workspace_root_is_found_from_a_member_directory() {
+        let here = Path::new(env!("CARGO_MANIFEST_DIR"));
+        let root = workspace_root(here);
+        assert_ne!(root, here, "the bench package is not the workspace root");
+        assert!(here.starts_with(&root));
+        assert!(root.join("BENCH_explore.json").exists(), "{}", root.display());
     }
 
     #[test]

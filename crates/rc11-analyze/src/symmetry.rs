@@ -310,18 +310,16 @@ impl SymmetrySpec {
     /// The permutation-invariant sort key of group member `t` at `cfg`.
     fn thread_key(&self, cfg: &Config, perms: &CanonPerms, t: u8) -> ThreadKey {
         let ti = t as usize;
-        let file = &cfg.locals[ti];
         let from_rep = &self.maps.from_rep[ti];
-        let locals_rep: Vec<Val> =
-            from_rep.iter().map(|&r| file[r as usize]).collect();
-        let remap_view = |view: &rc11_core::View, perm: &[rc11_core::OpId]| -> Vec<u32> {
+        let locals_rep: Vec<Val> = from_rep.iter().map(|&r| cfg.reg(ti, Reg(r))).collect();
+        let remap_view = |view: rc11_core::View<'_>, perm: &[rc11_core::OpId]| -> Vec<u32> {
             view.as_slice().iter().map(|e| perm[e.idx()].0).collect()
         };
         let tid = Tid(t);
-        let client = cfg.mem.client();
-        let lib = cfg.mem.lib();
+        let client = cfg.mem().client();
+        let lib = cfg.mem().lib();
         ThreadKey {
-            pc: cfg.pcs[ti],
+            pc: cfg.pcs()[ti],
             locals_rep,
             client_view: remap_view(client.tview(tid), &perms.client),
             lib_view: remap_view(lib.tview(tid), &perms.lib),
@@ -369,7 +367,7 @@ struct ThreadKey {
 /// Canonical op positions of the non-initialisation operations authored by
 /// `tid` in one component, in `(location, mo-position)` order. Init ops
 /// (mo-position 0 everywhere) carry a dummy tid and are excluded.
-fn authorship(st: &rc11_core::CState, perm: &[rc11_core::OpId], tid: Tid) -> Vec<u32> {
+fn authorship(st: rc11_core::CState<'_>, perm: &[rc11_core::OpId], tid: Tid) -> Vec<u32> {
     let mut out = Vec::new();
     for li in 0..st.n_locs() {
         for (pos, &w) in st.mo(Loc(li as u16)).iter().enumerate() {

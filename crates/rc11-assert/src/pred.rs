@@ -343,13 +343,13 @@ pub struct EvalCtx<'a> {
     pub cfg: &'a Config,
 }
 
-fn comp_state(mem: &Combined, var: VarRef) -> &CState {
+fn comp_state(mem: &Combined, var: VarRef) -> CState<'_> {
     mem.comp(var.comp)
 }
 
 /// `dview(view, ops, x) = n` for the *own* half: `view(x)` is the maximal
 /// op on `x` and wrote `n`.
-fn dview_is(st: &CState, view_entry: OpId, loc: Loc, val: Val) -> bool {
+fn dview_is(st: CState<'_>, view_entry: OpId, loc: Loc, val: Val) -> bool {
     let last = st.max_op(loc);
     view_entry == last && st.op(last).act.wrval() == val
 }
@@ -358,7 +358,7 @@ impl Pred {
     /// Evaluate this assertion in a configuration.
     pub fn eval(&self, ctx: EvalCtx<'_>) -> bool {
         let cfg = ctx.cfg;
-        let mem = &cfg.mem;
+        let mem = cfg.mem();
         match self {
             Pred::True => true,
             Pred::False => false,
@@ -367,16 +367,16 @@ impl Pred {
             Pred::Or(ps) => ps.iter().any(|p| p.eval(ctx)),
             Pred::Implies(a, b) => !a.eval(ctx) || b.eval(ctx),
 
-            Pred::RegEq { tid, reg, val } => cfg.locals[tid.idx()][reg.idx()] == *val,
+            Pred::RegEq { tid, reg, val } => cfg.reg(tid.idx(), *reg) == *val,
             Pred::RegIn { tid, reg, vals } => {
-                vals.contains(&cfg.locals[tid.idx()][reg.idx()])
+                vals.contains(&cfg.reg(tid.idx(), *reg))
             }
             Pred::AtLabel { tid, labels } => {
                 let th = &ctx.prog.threads[tid.idx()];
-                th.label_at(cfg.pcs[tid.idx()]).is_some_and(|k| labels.contains(&k))
+                th.label_at(cfg.pcs()[tid.idx()]).is_some_and(|k| labels.contains(&k))
             }
             Pred::Terminated { tid } => {
-                cfg.pcs[tid.idx()] == ctx.prog.threads[tid.idx()].halt_pc()
+                cfg.pcs()[tid.idx()] == ctx.prog.threads[tid.idx()].halt_pc()
             }
 
             // ⟨x = n⟩t ≡ ∃w ∈ Obs(t, x). wrval(w) = n

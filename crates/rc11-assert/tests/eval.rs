@@ -51,8 +51,8 @@ fn after_write_and_push_conditional_observation_holds() {
     let (prog, d, s) = mp_program();
     let mut cfg = Config::initial(&prog);
     // T1 executes d := 5.
-    let w = cfg.mem.write_preds(Comp::Client, Tid(0), d.loc)[0];
-    cfg.mem = cfg.mem.apply_write(Comp::Client, Tid(0), d.loc, Val::Int(5), false, w);
+    let w = cfg.mem().write_preds(Comp::Client, Tid(0), d.loc)[0];
+    cfg = cfg.with_mem(cfg.mem().apply_write(Comp::Client, Tid(0), d.loc, Val::Int(5), false, w));
     // Before the push: [d = 5]1 but thread 2 may still see 0.
     let c = ctx(&prog, &cfg);
     assert!(dobs(0, d, 5).eval(c));
@@ -61,18 +61,18 @@ fn after_write_and_push_conditional_observation_holds() {
     assert!(!dobs(1, d, 5).eval(c));
 
     // T1 executes s.push^R(1).
-    cfg.mem = rc11_objects::stack::push_steps(&cfg.mem, Tid(0), s.loc, Val::Int(1), true)
+    cfg = cfg.with_mem(rc11_objects::stack::push_steps(cfg.mem(), Tid(0), s.loc, Val::Int(1), true)
         .pop()
-        .unwrap();
+        .unwrap());
     let c = ctx(&prog, &cfg);
     // ⟨s.pop 1⟩[d = 5]2 — the precondition of thread 2's loop in Figure 3.
     assert!(can_pop(1, s, 1).eval(c));
     assert!(cond_pop(1, s, 1, d, 5).eval(c));
 
     // T2 pops (acquiring): now [d = 5]2.
-    let (v, mem) = rc11_objects::stack::pop_steps(&cfg.mem, Tid(1), s.loc, true).pop().unwrap();
+    let (v, mem) = rc11_objects::stack::pop_steps(cfg.mem(), Tid(1), s.loc, true).pop().unwrap();
     assert_eq!(v, Val::Int(1));
-    cfg.mem = mem;
+    cfg = cfg.with_mem(mem);
     let c = ctx(&prog, &cfg);
     assert!(dobs(1, d, 5).eval(c));
     assert!(pop_empty(1, s).eval(c), "the push is consumed");
@@ -82,12 +82,12 @@ fn after_write_and_push_conditional_observation_holds() {
 fn relaxed_push_fails_conditional_observation() {
     let (prog, d, s) = mp_program();
     let mut cfg = Config::initial(&prog);
-    let w = cfg.mem.write_preds(Comp::Client, Tid(0), d.loc)[0];
-    cfg.mem = cfg.mem.apply_write(Comp::Client, Tid(0), d.loc, Val::Int(5), false, w);
+    let w = cfg.mem().write_preds(Comp::Client, Tid(0), d.loc)[0];
+    cfg = cfg.with_mem(cfg.mem().apply_write(Comp::Client, Tid(0), d.loc, Val::Int(5), false, w));
     // Relaxed push: no view transfer promised.
-    cfg.mem = rc11_objects::stack::push_steps(&cfg.mem, Tid(0), s.loc, Val::Int(1), false)
+    cfg = cfg.with_mem(rc11_objects::stack::push_steps(cfg.mem(), Tid(0), s.loc, Val::Int(1), false)
         .pop()
-        .unwrap();
+        .unwrap());
     let c = ctx(&prog, &cfg);
     assert!(can_pop(1, s, 1).eval(c));
     assert!(
@@ -116,8 +116,8 @@ fn lock_assertions_mirror_lemma_3_shapes() {
     assert!(!hidden(l, OpPat::Init).eval(c), "init not hidden before any acquire");
 
     // T1 acquires.
-    let (_, mem) = rc11_objects::lock::acquire_steps(&cfg.mem, Tid(0), l.loc).pop().unwrap();
-    cfg.mem = mem;
+    let (_, mem) = rc11_objects::lock::acquire_steps(cfg.mem(), Tid(0), l.loc).pop().unwrap();
+    cfg = cfg.with_mem(mem);
     let c = ctx(&prog, &cfg);
     assert!(holds_lock(0, l).eval(c));
     assert!(!holds_lock(1, l).eval(c));
@@ -128,16 +128,16 @@ fn lock_assertions_mirror_lemma_3_shapes() {
 
     // T1 writes x := 5 then releases: conditional observation through the
     // release (rule (6) of Lemma 3 establishes ⟨release⟩[x = 5]).
-    let w = cfg.mem.write_preds(Comp::Client, Tid(0), x.loc)[0];
-    cfg.mem = cfg.mem.apply_write(Comp::Client, Tid(0), x.loc, Val::Int(5), false, w);
-    let (_, mem) = rc11_objects::lock::release_steps(&cfg.mem, Tid(0), l.loc).pop().unwrap();
-    cfg.mem = mem;
+    let w = cfg.mem().write_preds(Comp::Client, Tid(0), x.loc)[0];
+    cfg = cfg.with_mem(cfg.mem().apply_write(Comp::Client, Tid(0), x.loc, Val::Int(5), false, w));
+    let (_, mem) = rc11_objects::lock::release_steps(cfg.mem(), Tid(0), l.loc).pop().unwrap();
+    cfg = cfg.with_mem(mem);
     let c = ctx(&prog, &cfg);
     assert!(cond_obs_op(1, l, OpPat::Release(2), x, 5).eval(c));
 
     // T2 acquires: [x = 5]2 (rule (5)'s conclusion).
-    let (_, mem) = rc11_objects::lock::acquire_steps(&cfg.mem, Tid(1), l.loc).pop().unwrap();
-    cfg.mem = mem;
+    let (_, mem) = rc11_objects::lock::acquire_steps(cfg.mem(), Tid(1), l.loc).pop().unwrap();
+    cfg = cfg.with_mem(mem);
     let c = ctx(&prog, &cfg);
     assert!(dobs(1, x, 5).eval(c));
     assert!(holds_lock(1, l).eval(c));
@@ -156,8 +156,8 @@ fn covered_assertion_on_variables() {
     assert!(!covered(x, 1).eval(c), "before the CAS, the uncovered op wrote 0");
     assert!(covered(x, 0).eval(c));
 
-    let w = cfg.mem.update_preds(Comp::Client, Tid(0), x.loc, Some(Val::Int(0)))[0];
-    cfg.mem = cfg.mem.apply_update(Comp::Client, Tid(0), x.loc, Val::Int(1), w);
+    let w = cfg.mem().update_preds(Comp::Client, Tid(0), x.loc, Some(Val::Int(0)))[0];
+    cfg = cfg.with_mem(cfg.mem().apply_update(Comp::Client, Tid(0), x.loc, Val::Int(1), w));
     let c = ctx(&prog, &cfg);
     assert!(covered(x, 1).eval(c), "after the CAS only the update is uncovered, value 1");
     assert!(!covered(x, 0).eval(c));

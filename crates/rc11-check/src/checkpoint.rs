@@ -10,7 +10,7 @@
 //! * per interned node: the first-discovery edge `(parent id, tid,
 //!   successor index)` plus the node's current explored-thread mask;
 //! * the frontier stack, verbatim (`(id, mask, sleep, first)` items);
-//! * the running counters (transitions, approximate arena bytes);
+//! * the running counters (transitions, interned-arena bytes);
 //! * terminal/deadlock/violation references **by node id** (violations
 //!   additionally carry their message and, under symmetry, the orbit
 //!   permutation of the violating member).

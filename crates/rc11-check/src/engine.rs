@@ -46,7 +46,7 @@ pub enum StopReason {
     StateCap,
     /// [`Budget::max_transitions`] was reached.
     TransitionCap,
-    /// [`Budget::max_mem_bytes`] was reached (approximate arena bytes).
+    /// [`Budget::max_mem_bytes`] was reached (interned-arena bytes).
     MemBudget,
     /// [`Budget::deadline`] expired.
     Deadline,
@@ -112,9 +112,9 @@ pub struct Budget {
     pub deadline: Option<Duration>,
     /// Cap on generated transitions.
     pub max_transitions: Option<usize>,
-    /// Cap on the approximate interned-arena footprint in bytes
-    /// ([`rc11_lang::machine::Config::approx_bytes`] summed over interned
-    /// states).
+    /// Cap on the interned-arena footprint in bytes
+    /// ([`rc11_lang::machine::Config::approx_bytes`] — each state's header
+    /// plus its single buffer — summed over interned states).
     pub max_mem_bytes: Option<usize>,
 }
 
@@ -281,7 +281,7 @@ pub struct ExploreOptions {
     /// it on. Ignored by the outline checker (Owicki–Gries classification
     /// is per-edge and per-thread).
     pub symmetry: bool,
-    /// Resource budgets (deadline, transition cap, approximate memory
+    /// Resource budgets (deadline, transition cap, interned-state memory
     /// cap). Checked cooperatively between work items in both engines'
     /// hot loops; tripping one stops the walk with the matching
     /// [`StopReason`] and a sound partial report. Unlimited by default.

@@ -17,6 +17,10 @@
 //! representative(s) in its (rare) collision bucket, so verdicts are
 //! bit-identical to the legacy materialised-canonical path — which remains
 //! available with `fingerprint: false` (ablation A4 in DESIGN.md).
+//! Successors are stepped into one reused scratch configuration
+//! ([`for_each_thread_successor`]) and probed there, and the expanded
+//! parent is copied into a reused buffer too, so only novel states
+//! allocate (DESIGN.md §2).
 //!
 //! With [`ExploreOptions::por`], expansion additionally applies sleep-set
 //! partial-order reduction (`crate::por`, ablation A5): work items carry
@@ -52,9 +56,9 @@ use crate::fxhash::{CanonicalFingerprint, Fp128, FxHashMap, IdBucket};
 use crate::por::{self, ThreadMask};
 use crate::sym;
 use rc11_analyze::SymmetrySpec;
-use rc11_core::Tid;
+use rc11_core::{CanonPerms, Tid};
 use rc11_lang::cfg::CfgProgram;
-use rc11_lang::machine::{thread_successors, Config, ObjectSemantics};
+use rc11_lang::machine::{for_each_thread_successor, thread_successors, Config, ObjectSemantics};
 use rc11_telemetry::{Counter, Telemetry};
 use std::sync::Arc;
 use std::time::Instant;
@@ -94,6 +98,9 @@ struct Node {
 pub(crate) struct VisitedIndex {
     mode: IndexMode,
     tel: Option<Arc<Telemetry>>,
+    /// The last fingerprint probe's canonical permutations, refilled in
+    /// place per probe and consumed by the matching `commit`.
+    perms: CanonPerms,
 }
 
 enum IndexMode {
@@ -102,16 +109,17 @@ enum IndexMode {
 }
 
 /// The outcome of probing a successor against the visited index: already
-/// interned, or novel with the probe work (fingerprint + permutations, or
-/// the materialised canonical form) carried over for the insert. The
-/// `NovelExact` payload is boxed: it carries a whole materialised
-/// configuration and only exists on the legacy path.
+/// interned, or novel with the probe work (the fingerprint — its
+/// permutations stay in the index — or the materialised canonical form)
+/// carried over for the insert. The `NovelExact` payload is boxed: it
+/// carries a whole materialised configuration and only exists on the
+/// legacy path.
 pub(crate) enum Probe {
     /// Already interned, under this arena id (POR duplicate hits consult
     /// the node's `explored` mask for the wake-up rule, after transporting
     /// the arriving masks through the carried group permutation).
     Dup(u32, Option<Vec<u8>>),
-    NovelFp(Fp128, rc11_core::CanonPerms),
+    NovelFp(Fp128),
     NovelExact(Box<Config>, Option<Vec<u8>>),
 }
 
@@ -122,7 +130,7 @@ impl VisitedIndex {
         } else {
             IndexMode::Exact(FxHashMap::default())
         };
-        VisitedIndex { mode, tel }
+        VisitedIndex { mode, tel, perms: CanonPerms::default() }
     }
 
     /// Tally a duplicate probe hit (and, when the match went through a
@@ -146,36 +154,35 @@ impl VisitedIndex {
     /// permutation (`sym::sym_perms`), so the whole orbit probes to one
     /// interned representative.
     pub(crate) fn probe<'a>(
-        &self,
+        &mut self,
         succ: &Config,
         symm: Option<&SymmetrySpec>,
         interned: impl Fn(u32) -> &'a Config,
     ) -> Probe {
         match &self.mode {
             IndexMode::Fp(map) => {
-                let mut perms = succ.canonical_perms();
+                let perms = &mut self.perms;
+                succ.canonical_perms_into(perms);
                 if let Some(spec) = symm {
-                    perms.threads = spec.choose(succ, &perms);
+                    perms.threads = spec.choose(succ, perms);
                 }
                 let fp = match symm {
-                    Some(spec) => sym::fingerprint_sym(succ, &perms, spec),
-                    None => succ.fingerprint_with(&perms),
+                    Some(spec) => sym::fingerprint_sym(succ, perms, spec),
+                    None => succ.fingerprint_with(perms),
                 };
                 if let Some(bucket) = map.get(&fp) {
                     for &id in bucket.ids() {
                         let eq = match symm {
-                            Some(spec) => {
-                                succ.canonical_eq_sym(&perms, spec.maps(), interned(id))
-                            }
-                            None => succ.canonical_eq_with(&perms, interned(id)),
+                            Some(spec) => succ.canonical_eq_sym(perms, spec.maps(), interned(id)),
+                            None => succ.canonical_eq_with(perms, interned(id)),
                         };
                         if eq {
-                            self.count_dup(&perms.threads);
-                            return Probe::Dup(id, perms.threads);
+                            self.count_dup(&self.perms.threads);
+                            return Probe::Dup(id, self.perms.threads.clone());
                         }
                     }
                 }
-                Probe::NovelFp(fp, perms)
+                Probe::NovelFp(fp)
             }
             IndexMode::Exact(map) => {
                 let (canon, sigma) = match symm {
@@ -207,15 +214,15 @@ impl VisitedIndex {
         symm: Option<&SymmetrySpec>,
         new_id: u32,
     ) -> (Config, Option<Vec<u8>>) {
-        let VisitedIndex { mode, tel } = self;
+        let VisitedIndex { mode, tel, perms } = self;
         if let Some(t) = tel {
             t.incr(Counter::States);
         }
         match (mode, probe) {
-            (IndexMode::Fp(map), Probe::NovelFp(fp, perms)) => {
+            (IndexMode::Fp(map), Probe::NovelFp(fp)) => {
                 let canon = match symm {
-                    Some(spec) => succ.canonical_sym(&perms, spec.maps()),
-                    None => succ.canonical_with(&perms),
+                    Some(spec) => succ.canonical_sym(perms, spec.maps()),
+                    None => succ.canonical_with(perms),
                 };
                 match map.entry(fp) {
                     std::collections::hash_map::Entry::Occupied(mut e) => {
@@ -230,7 +237,7 @@ impl VisitedIndex {
                         e.insert(IdBucket::One(new_id));
                     }
                 }
-                (canon, perms.threads)
+                (canon, perms.threads.take())
             }
             (IndexMode::Exact(map), Probe::NovelExact(canon, sigma)) => {
                 map.insert((*canon).clone(), new_id);
@@ -409,7 +416,7 @@ impl<'a> Explorer<'a> {
             let init = Config::initial(self.prog).canonical();
             let probe = index.probe(&init, symm, |id| &nodes[id as usize].cfg);
             let (init, init_sigma) = index.commit(probe, &init, symm, 0);
-            let init_prop = pers.as_ref().map_or(full, |p| p.persistent_mask(&init.pcs));
+            let init_prop = pers.as_ref().map_or(full, |p| p.persistent_mask(init.pcs()));
             mem_bytes += init.approx_bytes() as u64;
             nodes.push(Node {
                 cfg: init.clone(),
@@ -432,6 +439,10 @@ impl<'a> Explorer<'a> {
             frontier.push((0, init_prop, 0, true));
         }
 
+        // Reused buffers: the configuration being expanded, and the
+        // successor being built (see `for_each_thread_successor`).
+        let mut cfg = Config::initial(self.prog);
+        let mut scratch = cfg.clone();
         let mut pops: usize = 0;
         loop {
             // Budget and cancellation gates, between work items: any trip
@@ -486,7 +497,9 @@ impl<'a> Explorer<'a> {
             if let Some(chaos) = &self.opts.chaos {
                 chaos.on_expansion();
             }
-            let cfg = nodes[id as usize].cfg.clone();
+            // The parent is copied into a reused buffer (no allocation):
+            // the arena grows while its successors are committed.
+            cfg.clone_from(&nodes[id as usize].cfg);
             let mut fps = por.then(|| por::LazyFootprints::new(n_threads));
             let mut any_succ = false;
             let mut earlier: ThreadMask = 0;
@@ -494,12 +507,6 @@ impl<'a> Explorer<'a> {
                 if por && mask & (1u64 << t) == 0 {
                     continue;
                 }
-                let succs = thread_successors(self.prog, self.objs, &cfg, t, self.opts.step);
-                report.transitions += succs.len();
-                if let Some(tl) = &tel {
-                    tl.add(Counter::Transitions, succs.len() as u64);
-                }
-                any_succ |= !succs.is_empty();
                 let child_sleep = match (&mut fps, &statics) {
                     (Some(fps), Some(cm)) => {
                         let cs = por::child_sleep_static(
@@ -516,136 +523,155 @@ impl<'a> Explorer<'a> {
                     _ => 0,
                 };
                 let tid = Tid(t as u8);
-                for (si, succ) in succs.into_iter().enumerate() {
-                    // The successor's persistent set (full without dpor).
-                    // A pure function of the program counters, computed on
-                    // the raw successor and transported through σ with the
-                    // sleep mask — symmetric threads have equal future
-                    // footprints, so the remapped mask is exactly the
-                    // stored representative's persistent set.
-                    let pmask = pers.as_ref().map_or(full, |p| p.persistent_mask(&succ.pcs));
-                    if por {
-                        if let Some(tl) = &tel {
-                            // Reduction attribution, per successor: threads
-                            // slept out of the persistent proposal (A5) and
-                            // threads the persistent mask sheds whole (A7).
-                            // Both are zero when the reduction is off.
-                            tl.add(
-                                Counter::SleepSetPrunes,
-                                (pmask & child_sleep).count_ones() as u64,
-                            );
-                            tl.add(
-                                Counter::PersistentSheds,
-                                (full & !pmask).count_ones() as u64,
-                            );
-                        }
-                    }
-                    let probe = match index.probe(&succ, symm, |id| &nodes[id as usize].cfg) {
-                        Probe::Dup(dup_id, dsigma) => {
-                            if por {
-                                // Wake-up rule: threads this arrival would
-                                // explore but no earlier arrival queued —
-                                // with the proposal transported into the
-                                // stored state's thread numbering first.
-                                // The queued item carries the arrival's
-                                // true sleep set: under dpor `full &
-                                // !prop` would unsoundly sleep the merely
-                                // postponed outside-persistent threads.
-                                let (prop, slp) = match &dsigma {
-                                    Some(sg) => (
-                                        sym::remap_mask(pmask & !child_sleep, sg),
-                                        sym::remap_mask(child_sleep, sg),
-                                    ),
-                                    None => (pmask & !child_sleep, child_sleep),
-                                };
-                                let missing = prop & !nodes[dup_id as usize].explored;
-                                if missing != 0 {
-                                    nodes[dup_id as usize].explored |= missing;
-                                    frontier.push((dup_id, missing, slp, false));
-                                }
+                let mut si = 0u32;
+                // Each successor is stepped, fingerprinted and confirmed in
+                // the scratch buffer; only novel ones are copied out
+                // (canonicalised) into the arena.
+                let n_succ = for_each_thread_successor(
+                    self.prog,
+                    self.objs,
+                    &cfg,
+                    t,
+                    self.opts.step,
+                    &mut scratch,
+                    |succ| {
+                        let succ_idx = si;
+                        si += 1;
+                        // The successor's persistent set (full without dpor).
+                        // A pure function of the program counters, computed on
+                        // the raw successor and transported through σ with the
+                        // sleep mask — symmetric threads have equal future
+                        // footprints, so the remapped mask is exactly the
+                        // stored representative's persistent set.
+                        let pmask = pers.as_ref().map_or(full, |p| p.persistent_mask(succ.pcs()));
+                        if por {
+                            if let Some(tl) = &tel {
+                                // Reduction attribution, per successor: threads
+                                // slept out of the persistent proposal (A5) and
+                                // threads the persistent mask sheds whole (A7).
+                                // Both are zero when the reduction is off.
+                                tl.add(
+                                    Counter::SleepSetPrunes,
+                                    (pmask & child_sleep).count_ones() as u64,
+                                );
+                                tl.add(
+                                    Counter::PersistentSheds,
+                                    (full & !pmask).count_ones() as u64,
+                                );
                             }
-                            continue;
                         }
-                        novel => novel,
-                    };
-                    if nodes.len() >= self.opts.max_states {
-                        report.stop.bump(StopReason::StateCap);
-                        continue;
-                    }
-                    let new_id = nodes.len() as u32;
-                    let (canon, sigma) = index.commit(probe, &succ, symm, new_id);
-                    mem_bytes += canon.approx_bytes() as u64;
-                    // The explored/sleep masks live in the stored state's
-                    // numbering: transport proposal and sleep through σ.
-                    let (prop, slp) = match (&sigma, por) {
-                        (Some(sg), true) => (
-                            sym::remap_mask(pmask & !child_sleep, sg),
-                            sym::remap_mask(child_sleep, sg),
-                        ),
-                        _ => (pmask & !child_sleep, child_sleep),
-                    };
-                    check(&canon, &mut buf);
-                    for what in buf.drain(..) {
-                        if ckpt.is_some() {
-                            viol_recs.push(ViolationRec {
-                                what: what.clone(),
-                                node: new_id,
-                                pi: None,
-                            });
-                        }
-                        report.violations.push(Violation {
-                            what,
-                            config: canon.clone(),
-                            trace: self.opts.record_traces.then(|| match symm {
-                                Some(spec) => reconstruct_trace_sym(
-                                    &nodes,
-                                    id,
-                                    tid,
-                                    &sigma,
-                                    &canon,
-                                    (0..n_threads as u8).collect(),
-                                    spec,
-                                ),
-                                None => reconstruct_trace(&nodes, id, tid, &canon),
-                            }),
-                        });
-                    }
-                    // Under symmetry the check must see every state of the
-                    // orbit, not just the representative: observation
-                    // tuples and invariants may distinguish thread
-                    // identities the reduction just modded out.
-                    if let Some(spec) = symm {
-                        for (pi, member) in sym::orbit_members(spec, &canon) {
-                            check(&member, &mut buf);
-                            for what in buf.drain(..) {
-                                if ckpt.is_some() {
-                                    viol_recs.push(ViolationRec {
-                                        what: what.clone(),
-                                        node: new_id,
-                                        pi: Some(pi.clone()),
-                                    });
+                        let probe = match index.probe(succ, symm, |id| &nodes[id as usize].cfg) {
+                            Probe::Dup(dup_id, dsigma) => {
+                                if por {
+                                    // Wake-up rule: threads this arrival would
+                                    // explore but no earlier arrival queued —
+                                    // with the proposal transported into the
+                                    // stored state's thread numbering first.
+                                    // The queued item carries the arrival's
+                                    // true sleep set: under dpor `full &
+                                    // !prop` would unsoundly sleep the merely
+                                    // postponed outside-persistent threads.
+                                    let (prop, slp) = match &dsigma {
+                                        Some(sg) => (
+                                            sym::remap_mask(pmask & !child_sleep, sg),
+                                            sym::remap_mask(child_sleep, sg),
+                                        ),
+                                        None => (pmask & !child_sleep, child_sleep),
+                                    };
+                                    let missing = prop & !nodes[dup_id as usize].explored;
+                                    if missing != 0 {
+                                        nodes[dup_id as usize].explored |= missing;
+                                        frontier.push((dup_id, missing, slp, false));
+                                    }
                                 }
-                                report.violations.push(Violation {
-                                    what,
-                                    config: member.clone(),
-                                    trace: self.opts.record_traces.then(|| {
-                                        reconstruct_trace_sym(
-                                            &nodes, id, tid, &sigma, &canon, pi.clone(), spec,
-                                        )
-                                    }),
+                                return;
+                            }
+                            novel => novel,
+                        };
+                        if nodes.len() >= self.opts.max_states {
+                            report.stop.bump(StopReason::StateCap);
+                            return;
+                        }
+                        let new_id = nodes.len() as u32;
+                        let (canon, sigma) = index.commit(probe, succ, symm, new_id);
+                        mem_bytes += canon.approx_bytes() as u64;
+                        // The explored/sleep masks live in the stored state's
+                        // numbering: transport proposal and sleep through σ.
+                        let (prop, slp) = match (&sigma, por) {
+                            (Some(sg), true) => (
+                                sym::remap_mask(pmask & !child_sleep, sg),
+                                sym::remap_mask(child_sleep, sg),
+                            ),
+                            _ => (pmask & !child_sleep, child_sleep),
+                        };
+                        check(&canon, &mut buf);
+                        for what in buf.drain(..) {
+                            if ckpt.is_some() {
+                                viol_recs.push(ViolationRec {
+                                    what: what.clone(),
+                                    node: new_id,
+                                    pi: None,
                                 });
                             }
+                            report.violations.push(Violation {
+                                what,
+                                config: canon.clone(),
+                                trace: self.opts.record_traces.then(|| match symm {
+                                    Some(spec) => reconstruct_trace_sym(
+                                        &nodes,
+                                        id,
+                                        tid,
+                                        &sigma,
+                                        &canon,
+                                        (0..n_threads as u8).collect(),
+                                        spec,
+                                    ),
+                                    None => reconstruct_trace(&nodes, id, tid, &canon),
+                                }),
+                            });
                         }
-                    }
-                    nodes.push(Node {
-                        cfg: canon,
-                        parent: Some((id, tid)),
-                        explored: prop,
-                        sigma,
-                        succ_idx: si as u32,
-                    });
-                    frontier.push((new_id, prop, slp, true));
+                        // Under symmetry the check must see every state of the
+                        // orbit, not just the representative: observation
+                        // tuples and invariants may distinguish thread
+                        // identities the reduction just modded out.
+                        if let Some(spec) = symm {
+                            for (pi, member) in sym::orbit_members(spec, &canon) {
+                                check(&member, &mut buf);
+                                for what in buf.drain(..) {
+                                    if ckpt.is_some() {
+                                        viol_recs.push(ViolationRec {
+                                            what: what.clone(),
+                                            node: new_id,
+                                            pi: Some(pi.clone()),
+                                        });
+                                    }
+                                    report.violations.push(Violation {
+                                        what,
+                                        config: member.clone(),
+                                        trace: self.opts.record_traces.then(|| {
+                                            reconstruct_trace_sym(
+                                                &nodes, id, tid, &sigma, &canon, pi.clone(), spec,
+                                            )
+                                        }),
+                                    });
+                                }
+                            }
+                        }
+                        nodes.push(Node {
+                            cfg: canon,
+                            parent: Some((id, tid)),
+                            explored: prop,
+                            sigma,
+                            succ_idx,
+                        });
+                        frontier.push((new_id, prop, slp, true));
+                    },
+                );
+                report.transitions += n_succ;
+                if let Some(tl) = &tel {
+                    tl.add(Counter::Transitions, n_succ as u64);
                 }
+                any_succ |= n_succ > 0;
             }
             if !any_succ {
                 // The expanded threads produced nothing. Only a *first*
@@ -662,18 +688,19 @@ impl<'a> Explorer<'a> {
                         &cfg,
                         full & !mask,
                         self.opts.step,
+                        &mut scratch,
                     )
                 {
                     if cfg.terminated(self.prog) {
                         if ckpt.is_some() {
                             term_ids.push(id);
                         }
-                        report.terminated.push(cfg);
+                        report.terminated.push(cfg.clone());
                     } else {
                         if ckpt.is_some() {
                             dead_ids.push(id);
                         }
-                        report.deadlocked.push(cfg);
+                        report.deadlocked.push(cfg.clone());
                     }
                 } else {
                     // Retry rule (dpor): every expanded thread was blocked
@@ -688,7 +715,14 @@ impl<'a> Explorer<'a> {
                     // !sleep`, so `rest` is zero and nothing changes.
                     let rest = full & !sleep & !nodes[id as usize].explored;
                     if rest != 0
-                        && por::has_any_successor(self.prog, self.objs, &cfg, rest, self.opts.step)
+                        && por::has_any_successor(
+                            self.prog,
+                            self.objs,
+                            &cfg,
+                            rest,
+                            self.opts.step,
+                            &mut scratch,
+                        )
                     {
                         nodes[id as usize].explored |= rest;
                         frontier.push((id, rest, sleep, false));
@@ -1027,7 +1061,7 @@ mod tests {
         assert!(report.deadlocked.is_empty(), "the lock must never deadlock");
         // Mutual exclusion ⇒ both increments land: x = 2 in all terminals.
         for term in &report.terminated {
-            let st = term.mem.client();
+            let st = term.mem().client();
             let max = st.max_op(rc11_core::Loc(0));
             assert_eq!(st.op(max).act.wrval(), Val::Int(2));
         }

@@ -6,10 +6,10 @@
 //!
 //! * **Keep-local batched work distribution** — each worker drains a
 //!   private LIFO backlog and feeds novel successors straight back into
-//!   it; the shared injector only sees [`FLUSH_BATCH`]-sized overflow
-//!   chunks (exported past [`KEEP_LOCAL`] or when the injector runs dry),
-//!   so steal traffic and queue-lock contention scale with the *shared*
-//!   frontier, not the state count.
+//!   it; the shared injector only sees overflow chunks of at most
+//!   [`FLUSH_BATCH`] items (exported past [`KEEP_LOCAL`], or as soon as
+//!   another worker is starving), so steal traffic and queue-lock
+//!   contention scale with the *shared* frontier, not the state count.
 //! * **Sleep-set partial-order reduction** — with
 //!   [`ExploreOptions::por`], work items carry sleep-set/expansion masks
 //!   and the visited stores keep each state's `explored` mask for the
@@ -33,12 +33,15 @@
 //!   canonical configuration is interned exactly once. The legacy
 //!   materialised-canonical [`ShardedMap`] path remains selectable with
 //!   [`ExploreOptions::fingerprint`]` = false` (ablation A4).
-//! * **Batched, double-checked shard insertion** — all successors of one
-//!   expansion are grouped by shard (parking_lot RwLock shards) and
-//!   inserted with one read-lock filter pass plus one write-lock pass per
-//!   touched shard, re-checking membership under the write lock so racing
-//!   workers agree on exactly one winner per state; only confirmed-novel
-//!   states are materialised to canonical form, outside any lock.
+//! * **Scratch-buffer filtering, batched double-checked insertion** —
+//!   each successor is built in the worker's reused scratch
+//!   configuration, fingerprinted there and dropped under its shard's
+//!   read lock if already interned (no allocation for duplicates); the
+//!   survivors of one expansion are materialised to canonical form
+//!   outside any lock, grouped by shard (parking_lot RwLock shards) and
+//!   committed with one write-lock pass per touched shard, re-checking
+//!   membership under the write lock so racing workers agree on exactly
+//!   one winner per state.
 //! * **Mixed shard indexing** — shard selection feeds the key's hash
 //!   through an avalanche mixer ([`spread`]) instead of using a fixed bit
 //!   window, so stride-aligned or low-entropy key patterns still populate
@@ -69,7 +72,7 @@ use parking_lot::{Mutex, RwLock};
 use rc11_analyze::SymmetrySpec;
 use rc11_core::{CanonPerms, Tid};
 use rc11_lang::cfg::CfgProgram;
-use rc11_lang::machine::{thread_successors, Config, ObjectSemantics};
+use rc11_lang::machine::{for_each_thread_successor, Config, ObjectSemantics};
 use rc11_telemetry::{Counter, Telemetry};
 use std::hash::{BuildHasher, Hash};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -77,17 +80,19 @@ use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Novel states a worker buffers locally before a chunk becomes eligible
-/// for sharing through the injector.
+/// The largest chunk of work items a worker exports to the injector at
+/// once (see [`KEEP_LOCAL`] for when it exports).
 pub const FLUSH_BATCH: usize = 64;
 
 /// Work-item backlog a worker keeps to itself. Novel states first feed the
 /// worker's own LIFO backlog — the hot path never touches the shared
 /// injector — and only the *oldest* `FLUSH_BATCH` items are shared when
-/// the backlog outgrows this bound, or when the injector runs dry while
-/// other workers are starving. Sharing the oldest (breadth) end keeps the
-/// worker on its cache-warm depth-first tail while exporting the wide
-/// frontier other workers can fan out on.
+/// the backlog outgrows this bound. While another worker is starving
+/// (idle on an empty injector) the oldest half of any backlog of two or
+/// more items is shared at once, up to `FLUSH_BATCH`: expansions are cheap
+/// enough that waiting for a full batch leaves workers idle. Sharing the
+/// oldest (breadth) end keeps the worker on its cache-warm depth-first
+/// tail while exporting the wide frontier other workers can fan out on.
 pub const KEEP_LOCAL: usize = 2 * FLUSH_BATCH;
 
 /// Avalanche-mix a hash into a shard index base: xor-fold and multiply so
@@ -375,20 +380,10 @@ impl<V> ShardedFpMap<V> {
             .contains(fp, |cfg| succ.canonical_eq_with(&perms, cfg))
     }
 
-    /// [`contains_state`](ShardedFpMap::contains_state) with an optional
-    /// thread-symmetry spec: membership is then decided up to the symmetry
-    /// group, matching the keys `insert_batch_por_sym` stores under.
-    pub(crate) fn contains_state_sym(
-        &self,
-        succ: &Config,
-        symm: Option<&SymmetrySpec>,
-    ) -> bool {
-        let Some(spec) = symm else { return self.contains_state(succ) };
-        let perms = sym::sym_perms(spec, succ);
-        let fp = sym::fingerprint_sym(succ, &perms, spec);
-        self.shards[self.shard_of(fp)]
-            .read()
-            .contains(fp, |cfg| succ.canonical_eq_sym(&perms, spec.maps(), cfg))
+    /// True iff the **canonical** configuration `canon` is interned.
+    fn contains_canon(&self, canon: &Config) -> bool {
+        let fp = canon.canonical_fingerprint();
+        self.shards[self.shard_of(fp)].read().contains(fp, |cfg| cfg == canon)
     }
 
     /// The value interned for the **canonical** configuration `canon`,
@@ -447,7 +442,7 @@ pub(crate) struct Masked<V> {
     explored: ThreadMask,
 }
 
-/// A successor queued for POR-aware insertion: the raw configuration, the
+/// A raw successor for the test-only batched insert: the configuration, the
 /// caller's value, the *explored-mask proposal* — the threads the arrival
 /// wants queued for expansion (`full` when POR is off, which makes
 /// wake-ups impossible; the persistent set minus the sleep set under
@@ -455,6 +450,7 @@ pub(crate) struct Masked<V> {
 /// sleep travels separately because under dpor it is **not** the
 /// proposal's complement: threads outside the persistent set are merely
 /// postponed (wakeable by later arrivals), not slept.
+#[cfg(test)]
 type PorItem<V> = (Config, V, ThreadMask, ThreadMask);
 
 /// A novel insertion: the interned canonical configuration, its stored
@@ -472,182 +468,180 @@ type PorWoken = (Config, ThreadMask, ThreadMask);
 type PorNovelK<K> = (K, ThreadMask, ThreadMask);
 type PorWokenK<K> = (K, ThreadMask, ThreadMask);
 
+/// A successor that survived the read-locked duplicate filter
+/// ([`VisitedStore::filter`]): novel, or a duplicate whose stored explored
+/// mask misses threads of its proposal. It carries its canonical form —
+/// materialised once, outside any lock — and its masks, already
+/// transported into representative numbering under symmetry. Duplicates
+/// the filter absorbs never become survivors, so they cost no allocation.
+pub(crate) struct Survivor<V> {
+    fp: Fp128,
+    canon: Config,
+    sigma: Option<Vec<u8>>,
+    val: V,
+    proposal: ThreadMask,
+    sleep: ThreadMask,
+}
+
+/// Tally a duplicate hit (and a symmetry-orbit fold when the match went
+/// through a non-identity group permutation).
+fn count_dup(tel: Option<&Telemetry>, sigma: &Option<Vec<u8>>) {
+    if let Some(t) = tel {
+        t.incr(Counter::DupHits);
+        if sigma.as_deref().is_some_and(|s| !sym::is_identity(s)) {
+            t.incr(Counter::SymmetryFolds);
+        }
+    }
+}
+
 impl<V> ShardedFpMap<Masked<V>> {
-    /// Batched insert of raw successors (the engines' hot path, POR-aware
-    /// — the single implementation both modes share; a full-mask proposal
-    /// makes wake-ups impossible and reduces this to plain insertion).
-    /// Items are fingerprinted (one zero-rebuild walk each), grouped by
-    /// shard, and filtered with one read-lock pass per touched shard
-    /// confirming fingerprint hits via `canonical_eq`; only the survivors
-    /// — novel states and wake-up candidates — are then materialised to
-    /// canonical form (outside any lock, reusing the probe's permutations)
-    /// and committed with a double-checked write pass. Duplicate hits
-    /// whose stored explored mask misses threads of the incoming proposal
-    /// are *woken*: the mask grows under the write lock and the state is
-    /// returned for partial re-expansion. The read-phase drop is sound
-    /// because explored masks only ever grow: a duplicate fully absorbed
-    /// under the read lock stays absorbed.
+    /// The read phase of POR-aware insertion for one **raw** successor,
+    /// with an optional thread-symmetry spec: fingerprint it (one
+    /// zero-rebuild walk, permutations computed into the caller's reused
+    /// `perms`) and, under the shard's read lock, drop it if an interned
+    /// state matches (`canonical_eq` confirmation) and already has every
+    /// thread of the proposal explored. Otherwise materialise its canonical
+    /// form — the symmetry-canonical one under a spec, with the proposal
+    /// and sleep transported through the item's group permutation `σ` when
+    /// `remap_masks` is set (POR only: full masks carry bits
+    /// `≥ n_threads` that `σ` cannot index) — and return it for
+    /// [`commit`](ShardedFpMap::commit). The read-phase drop is sound
+    /// because explored masks only ever grow: a duplicate absorbed under
+    /// the read lock stays absorbed. `val` is only called for survivors.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn filter(
+        &self,
+        raw: &Config,
+        mut proposal: ThreadMask,
+        mut sleep: ThreadMask,
+        symm: Option<&SymmetrySpec>,
+        remap_masks: bool,
+        perms: &mut CanonPerms,
+        val: impl FnOnce() -> V,
+        tel: Option<&Telemetry>,
+    ) -> Option<Survivor<V>> {
+        raw.canonical_perms_into(perms);
+        let fp = match symm {
+            Some(spec) => {
+                perms.threads = spec.choose(raw, perms);
+                if remap_masks {
+                    if let Some(sg) = &perms.threads {
+                        proposal = sym::remap_mask(proposal, sg);
+                        sleep = sym::remap_mask(sleep, sg);
+                    }
+                }
+                sym::fingerprint_sym(raw, perms, spec)
+            }
+            None => raw.fingerprint_with(perms),
+        };
+        {
+            let rd = self.shards[self.shard_of(fp)].read();
+            let hit = rd.entry(fp, |cfg| match symm {
+                Some(spec) => raw.canonical_eq_sym(perms, spec.maps(), cfg),
+                None => raw.canonical_eq_with(perms, cfg),
+            });
+            if hit.is_some_and(|e| proposal & !e.val.explored == 0) {
+                count_dup(tel, &perms.threads);
+                return None;
+            }
+        }
+        let canon = match symm {
+            Some(spec) => raw.canonical_sym(perms, spec.maps()),
+            None => raw.canonical_with(perms),
+        };
+        Some(Survivor { fp, canon, sigma: perms.threads.take(), val: val(), proposal, sleep })
+    }
+
+    /// The write phase: commit filtered survivors, grouped by shard so each
+    /// touched shard is write-locked once, double-checking membership under
+    /// the lock (racing workers, or an earlier duplicate in this very
+    /// batch). Novel states are interned; duplicates whose stored explored
+    /// mask misses threads of the incoming proposal are *woken*: the mask
+    /// grows under the write lock and the state is returned for partial
+    /// re-expansion. A full-mask proposal makes wake-ups impossible and
+    /// reduces this to plain insertion.
+    pub(crate) fn commit(
+        &self,
+        mut items: Vec<Survivor<V>>,
+        tel: Option<&Telemetry>,
+    ) -> (Vec<PorNovel>, Vec<PorWoken>) {
+        items.sort_by_key(|t| self.shard_of(t.fp));
+        let mut novel = Vec::new();
+        let mut woken = Vec::new();
+        let mut items = items.into_iter().peekable();
+        while let Some(first) = items.peek() {
+            let s = self.shard_of(first.fp);
+            let mut wr = self.shards[s].write();
+            let FpShard { map, overflow } = &mut *wr;
+            while let Some(t) = items.next_if(|t| self.shard_of(t.fp) == s) {
+                match map.entry(t.fp) {
+                    std::collections::hash_map::Entry::Vacant(e) => {
+                        e.insert(FpEntry {
+                            cfg: t.canon.clone(),
+                            val: Masked { val: t.val, explored: t.proposal },
+                        });
+                        novel.push((t.canon, t.proposal, t.sleep));
+                    }
+                    std::collections::hash_map::Entry::Occupied(mut e) => {
+                        let entry = if e.get().cfg == t.canon {
+                            Some(e.get_mut())
+                        } else {
+                            overflow
+                                .iter_mut()
+                                .find(|(ofp, oe)| *ofp == t.fp && oe.cfg == t.canon)
+                                .map(|(_, oe)| oe)
+                        };
+                        match entry {
+                            Some(oe) => {
+                                // Lost the insert race (or a same-batch
+                                // twin won): apply the wake-up rule.
+                                count_dup(tel, &t.sigma);
+                                let missing = t.proposal & !oe.val.explored;
+                                if missing != 0 {
+                                    oe.val.explored |= missing;
+                                    woken.push((t.canon, missing, t.sleep));
+                                }
+                            }
+                            None => {
+                                // A true 128-bit collision: intern
+                                // alongside.
+                                if let Some(tl) = tel {
+                                    tl.incr(Counter::FpCollisions);
+                                }
+                                overflow.push((
+                                    t.fp,
+                                    FpEntry {
+                                        cfg: t.canon.clone(),
+                                        val: Masked { val: t.val, explored: t.proposal },
+                                    },
+                                ));
+                                novel.push((t.canon, t.proposal, t.sleep));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        (novel, woken)
+    }
+
+    /// Batched POR-aware insert of raw successors: [`filter`] then
+    /// [`commit`](ShardedFpMap::commit).
+    ///
+    /// [`filter`]: ShardedFpMap::filter
     #[cfg(test)]
     pub(crate) fn insert_batch_por(
         &self,
         items: Vec<PorItem<V>>,
     ) -> (Vec<PorNovel>, Vec<PorWoken>) {
-        self.insert_batch_por_sym(items, None, false, None)
-    }
-
-    /// [`insert_batch_por`](ShardedFpMap::insert_batch_por) with an
-    /// optional thread-symmetry spec: items are then keyed by their
-    /// symmetry-canonical form (one interned representative per orbit),
-    /// and — when `remap_masks` is set, i.e. under POR — each explored
-    /// proposal is transported through the item's group permutation `σ`
-    /// (bit `t` → bit `σ[t]`) so stored masks always live in the
-    /// representative's thread numbering. `remap_masks` must be false
-    /// without POR: full masks carry bits `≥ n_threads` that `σ` cannot
-    /// index.
-    pub(crate) fn insert_batch_por_sym(
-        &self,
-        items: Vec<PorItem<V>>,
-        symm: Option<&SymmetrySpec>,
-        remap_masks: bool,
-        tel: Option<&Telemetry>,
-    ) -> (Vec<PorNovel>, Vec<PorWoken>) {
-        // Tally a duplicate hit (and a symmetry-orbit fold when the match
-        // went through a non-identity group permutation).
-        let count_dup = |sigma: &Option<Vec<u8>>| {
-            if let Some(t) = tel {
-                t.incr(Counter::DupHits);
-                if sigma.as_deref().is_some_and(|s| !sym::is_identity(s)) {
-                    t.incr(Counter::SymmetryFolds);
-                }
-            }
-        };
-        struct Item<V> {
-            shard: usize,
-            fp: Fp128,
-            perms: CanonPerms,
-            raw: Config,
-            proposal: ThreadMask,
-            sleep: ThreadMask,
-            /// `None` once dropped as an absorbed duplicate (or consumed).
-            val: Option<V>,
-        }
-        let mut tagged: Vec<Item<V>> = items
+        let mut perms = CanonPerms::default();
+        let survivors = items
             .into_iter()
-            .map(|(raw, val, mut proposal, mut sleep)| {
-                let mut perms = raw.canonical_perms();
-                let fp = match symm {
-                    Some(spec) => {
-                        perms.threads = spec.choose(&raw, &perms);
-                        if remap_masks {
-                            if let Some(sg) = &perms.threads {
-                                proposal = sym::remap_mask(proposal, sg);
-                                sleep = sym::remap_mask(sleep, sg);
-                            }
-                        }
-                        sym::fingerprint_sym(&raw, &perms, spec)
-                    }
-                    None => raw.fingerprint_with(&perms),
-                };
-                Item { shard: self.shard_of(fp), fp, perms, raw, proposal, sleep, val: Some(val) }
+            .filter_map(|(raw, v, p, slp)| {
+                self.filter(&raw, p, slp, None, false, &mut perms, || v, None)
             })
             .collect();
-        tagged.sort_by_key(|t| t.shard);
-        let mut novel = Vec::new();
-        let mut woken = Vec::new();
-        let mut i = 0;
-        while i < tagged.len() {
-            let s = tagged[i].shard;
-            let mut j = i;
-            while j < tagged.len() && tagged[j].shard == s {
-                j += 1;
-            }
-            let shard = &self.shards[s];
-            {
-                let rd = shard.read();
-                for t in &mut tagged[i..j] {
-                    if let Some(e) = rd.entry(t.fp, |cfg| match symm {
-                        Some(spec) => t.raw.canonical_eq_sym(&t.perms, spec.maps(), cfg),
-                        None => t.raw.canonical_eq_with(&t.perms, cfg),
-                    }) {
-                        if t.proposal & !e.val.explored == 0 {
-                            count_dup(&t.perms.threads);
-                            t.val = None; // known state, nothing to wake
-                        }
-                    }
-                }
-            }
-            if tagged[i..j].iter().any(|t| t.val.is_some()) {
-                // Materialise survivors outside the locks: novel states pay
-                // their one canonicalisation here; wake-up duplicates are
-                // rare enough that re-materialising them is cheaper than
-                // cloning interned representatives under the read lock.
-                let canons: Vec<Option<Config>> = tagged[i..j]
-                    .iter()
-                    .map(|t| {
-                        t.val.is_some().then(|| match symm {
-                            Some(spec) => t.raw.canonical_sym(&t.perms, spec.maps()),
-                            None => t.raw.canonical_with(&t.perms),
-                        })
-                    })
-                    .collect();
-                let mut wr = shard.write();
-                let FpShard { map, overflow } = &mut *wr;
-                for (t, canon) in tagged[i..j].iter_mut().zip(canons) {
-                    let Some(canon) = canon else { continue };
-                    let val = t.val.take().expect("survivor carries its value");
-                    // Double-check under the write lock (racing workers,
-                    // or an earlier duplicate in this very batch).
-                    match map.entry(t.fp) {
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            e.insert(FpEntry {
-                                cfg: canon.clone(),
-                                val: Masked { val, explored: t.proposal },
-                            });
-                            novel.push((canon, t.proposal, t.sleep));
-                        }
-                        std::collections::hash_map::Entry::Occupied(mut e) => {
-                            let entry = if e.get().cfg == canon {
-                                Some(e.get_mut())
-                            } else {
-                                overflow
-                                    .iter_mut()
-                                    .find(|(ofp, oe)| *ofp == t.fp && oe.cfg == canon)
-                                    .map(|(_, oe)| oe)
-                            };
-                            match entry {
-                                Some(oe) => {
-                                    // Lost the insert race (or a same-batch
-                                    // twin won): apply the wake-up rule.
-                                    count_dup(&t.perms.threads);
-                                    let missing = t.proposal & !oe.val.explored;
-                                    if missing != 0 {
-                                        oe.val.explored |= missing;
-                                        woken.push((canon, missing, t.sleep));
-                                    }
-                                }
-                                None => {
-                                    // A true 128-bit collision: intern
-                                    // alongside.
-                                    if let Some(tl) = tel {
-                                        tl.incr(Counter::FpCollisions);
-                                    }
-                                    overflow.push((
-                                        t.fp,
-                                        FpEntry {
-                                            cfg: canon.clone(),
-                                            val: Masked { val, explored: t.proposal },
-                                        },
-                                    ));
-                                    novel.push((canon, t.proposal, t.sleep));
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            i = j;
-        }
-        (novel, woken)
+        self.commit(survivors, None)
     }
 }
 
@@ -775,58 +769,66 @@ impl<V: Clone> VisitedStore<V> {
         }
     }
 
-    /// Membership of a raw successor (used only on the rare cap-hit path),
-    /// decided up to the symmetry group when a spec is active.
-    fn contains_state(&self, succ: &Config, symm: Option<&SymmetrySpec>) -> bool {
+    /// Membership of a canonical configuration (used only on the rare
+    /// cap-hit path).
+    fn contains_canon(&self, canon: &Config) -> bool {
         match &self.mode {
-            StoreMode::Fp(m) => m.contains_state_sym(succ, symm),
-            StoreMode::Exact(m) => {
-                let canon = match symm {
+            StoreMode::Fp(m) => m.contains_canon(canon),
+            StoreMode::Exact(m) => m.contains_key(canon),
+        }
+    }
+
+    /// The read phase of POR-aware insertion for one raw successor (see
+    /// [`ShardedFpMap::filter`]): `None` if it is an absorbed duplicate,
+    /// else a [`Survivor`] carrying its canonical form for
+    /// [`commit`](VisitedStore::commit). With a symmetry spec, keys are
+    /// symmetry-canonical (one interned representative per orbit) and —
+    /// under POR (`remap_masks`) — mask proposals are transported into
+    /// representative numbering. The exact backend materialises every
+    /// successor here and filters in `commit` — that is precisely the
+    /// per-successor rebuild the fingerprint path eliminates.
+    #[allow(clippy::too_many_arguments)]
+    fn filter(
+        &self,
+        raw: &Config,
+        proposal: ThreadMask,
+        sleep: ThreadMask,
+        symm: Option<&SymmetrySpec>,
+        remap_masks: bool,
+        perms: &mut CanonPerms,
+        val: impl FnOnce() -> V,
+    ) -> Option<Survivor<V>> {
+        let tel = self.tel.as_deref();
+        match &self.mode {
+            StoreMode::Fp(m) => m.filter(raw, proposal, sleep, symm, remap_masks, perms, val, tel),
+            StoreMode::Exact(_) => {
+                let (canon, sigma) = match symm {
                     Some(spec) => {
-                        let perms = sym::sym_perms(spec, succ);
-                        succ.canonical_sym(&perms, spec.maps())
+                        let perms = sym::sym_perms(spec, raw);
+                        (raw.canonical_sym(&perms, spec.maps()), perms.threads)
                     }
-                    None => succ.canonical(),
+                    None => (raw.canonical(), None),
                 };
-                m.contains_key(&canon)
+                let (proposal, sleep) = match (&sigma, remap_masks) {
+                    (Some(sg), true) => (sym::remap_mask(proposal, sg), sym::remap_mask(sleep, sg)),
+                    _ => (proposal, sleep),
+                };
+                let fp = Fp128 { hi: 0, lo: 0 };
+                Some(Survivor { fp, canon, sigma, val: val(), proposal, sleep })
             }
         }
     }
 
-    /// Batched insert of raw successors with the POR wake-up rule; returns
-    /// the novel canonical configurations with their stored explored masks
-    /// plus any woken duplicates (see [`ShardedFpMap::insert_batch_por`]).
-    /// With a symmetry spec, keys are symmetry-canonical (one interned
-    /// representative per orbit) and — under POR (`remap_masks`) — mask
-    /// proposals are transported into representative numbering. The exact
-    /// backend materialises every successor first — that is precisely the
-    /// per-successor rebuild the fingerprint path eliminates.
-    fn insert_batch(
-        &self,
-        items: Vec<PorItem<V>>,
-        symm: Option<&SymmetrySpec>,
-        remap_masks: bool,
-    ) -> (Vec<PorNovel>, Vec<PorWoken>) {
+    /// The write phase: intern filtered survivors with the POR wake-up
+    /// rule; returns the novel canonical configurations with their stored
+    /// explored masks plus any woken duplicates (see
+    /// [`ShardedFpMap::commit`]).
+    fn commit(&self, survivors: Vec<Survivor<V>>) -> (Vec<PorNovel>, Vec<PorWoken>) {
         let tel = self.tel.as_deref();
         match &self.mode {
-            StoreMode::Fp(m) => m.insert_batch_por_sym(items, symm, remap_masks, tel),
+            StoreMode::Fp(m) => m.commit(survivors, tel),
             StoreMode::Exact(m) => m.insert_batch_por(
-                items
-                    .into_iter()
-                    .map(|(raw, v, p, slp)| match symm {
-                        Some(spec) => {
-                            let perms = sym::sym_perms(spec, &raw);
-                            let (p, slp) = match (&perms.threads, remap_masks) {
-                                (Some(sg), true) => {
-                                    (sym::remap_mask(p, sg), sym::remap_mask(slp, sg))
-                                }
-                                _ => (p, slp),
-                            };
-                            (raw.canonical_sym(&perms, spec.maps()), v, p, slp)
-                        }
-                        None => (raw.canonical(), v, p, slp),
-                    })
-                    .collect(),
+                survivors.into_iter().map(|t| (t.canon, t.val, t.proposal, t.sleep)).collect(),
                 tel,
             ),
         }
@@ -924,8 +926,8 @@ struct WorkItem {
 /// **Scheduling**: each worker drains a private LIFO backlog before
 /// touching the shared injector; novel successors feed that backlog
 /// directly, and only the oldest chunk is exported when the backlog
-/// outgrows [`KEEP_LOCAL`] or when the injector runs dry with other
-/// workers around. The injector therefore sees traffic proportional to
+/// outgrows [`KEEP_LOCAL`] or when the injector runs dry while another
+/// worker is idle. The injector therefore sees traffic proportional to
 /// the *shared* frontier, not to the state count — single-worker runs
 /// never re-queue through it at all.
 ///
@@ -962,6 +964,9 @@ where
     // chunk stays counted until its worker has drained the whole backlog
     // it spawned); all-workers-idle is `pending == 0` + empty injector.
     let pending = AtomicUsize::new(0);
+    // Workers currently finding the injector empty: a busy worker shares
+    // part of its backlog as soon as one is starving.
+    let idle = AtomicUsize::new(0);
     let n_states = AtomicUsize::new(0);
     let transitions = AtomicUsize::new(0);
     let truncated = AtomicBool::new(false);
@@ -970,7 +975,7 @@ where
     // doubles as the workers' "wind down" flag: once any worker trips a
     // budget or faults, everyone drains without expanding further.
     let stop = AtomicU8::new(StopReason::Complete.as_u8());
-    // Approximate arena bytes, grown per novel interned state.
+    // Interned-arena bytes, grown per novel interned state.
     let mem_bytes = AtomicUsize::new(0);
     // Stringified panic payloads of contained worker faults.
     let faults: Mutex<Vec<String>> = Mutex::new(Vec::new());
@@ -1017,11 +1022,11 @@ where
     let mut init_buf = Vec::new();
     on_novel(&init, &mut init_buf);
     debug_assert!(init_buf.is_empty(), "on_novel must drain its buffer");
-    // Retry re-submissions go through `insert_batch`, which needs a value
+    // Retry re-submissions go through `filter`/`commit`, which need a value
     // for the (impossible) novel case; any placeholder does, the duplicate
     // path discards it.
     let retry_val = init_value.clone();
-    let init_prop = pers.as_ref().map_or(full, |p| p.persistent_mask(&init.pcs));
+    let init_prop = pers.as_ref().map_or(full, |p| p.persistent_mask(init.pcs()));
     mem_bytes.store(init.approx_bytes(), Ordering::SeqCst);
     visited.insert_init(init.clone(), init_value, init_prop);
     n_states.store(1, Ordering::SeqCst);
@@ -1038,9 +1043,18 @@ where
                 let w = worker_ids.fetch_add(1, Ordering::Relaxed);
                 let mut local: Vec<WorkItem> = Vec::new();
                 let mut buf: Vec<String> = Vec::new();
+                // Reused per-worker buffers: the successor under
+                // construction and its canonical permutations.
+                let mut scratch = Config::initial(prog);
+                let mut perms = CanonPerms::default();
+                let mut is_idle = false;
                 loop {
                     match injector.steal() {
                         Steal::Success(chunk) => {
+                            if is_idle {
+                                idle.fetch_sub(1, Ordering::Relaxed);
+                                is_idle = false;
+                            }
                             local.extend(chunk);
                             // The whole drain runs under `catch_unwind`:
                             // a panicking worker (a bug in a callback, or
@@ -1104,20 +1118,13 @@ where
                                 let WorkItem { cfg, mask, sleep, first } = item;
                                 let mut fps =
                                     por.then(|| por::LazyFootprints::new(n_threads));
-                                let mut items: Vec<PorItem<V>> = Vec::new();
-                                let mut any_succ = false;
+                                let mut survivors: Vec<Survivor<V>> = Vec::new();
+                                let mut n_transitions = 0usize;
                                 let mut earlier: ThreadMask = 0;
                                 for t in 0..n_threads {
                                     if por && mask & (1u64 << t) == 0 {
                                         continue;
                                     }
-                                    let succs =
-                                        thread_successors(prog, objs, &cfg, t, opts.step);
-                                    transitions.fetch_add(succs.len(), Ordering::Relaxed);
-                                    if let Some(tl) = &tel {
-                                        tl.add(Counter::Transitions, succs.len() as u64);
-                                    }
-                                    any_succ |= !succs.is_empty();
                                     let child_sleep = match (&mut fps, &statics) {
                                         (Some(fps), Some(cm)) => {
                                             let cs = por::child_sleep_static(
@@ -1134,46 +1141,71 @@ where
                                         _ => 0,
                                     };
                                     let tid = Tid(t as u8);
-                                    for succ in succs {
-                                        // Every edge, visited or not, raw.
-                                        on_edge(&cfg, tid, &succ);
-                                        let v = edge_value(&cfg, tid);
-                                        // The successor's persistent set
-                                        // (full without dpor): a pure
-                                        // function of the program counters,
-                                        // computed on the raw successor and
-                                        // transported through σ by the
-                                        // store (symmetric threads have
-                                        // equal future footprints).
-                                        let pmask = pers
-                                            .as_ref()
-                                            .map_or(full, |p| p.persistent_mask(&succ.pcs));
-                                        if por {
-                                            if let Some(tl) = &tel {
-                                                // Reduction attribution per
-                                                // successor (zero when the
-                                                // reduction is off) — same
-                                                // sites as the sequential
-                                                // engine's.
-                                                tl.add(
-                                                    Counter::SleepSetPrunes,
-                                                    (pmask & child_sleep).count_ones()
-                                                        as u64,
-                                                );
-                                                tl.add(
-                                                    Counter::PersistentSheds,
-                                                    (full & !pmask).count_ones() as u64,
-                                                );
+                                    // Successors are built, fingerprinted
+                                    // and duplicate-filtered in the worker's
+                                    // scratch buffer; only survivors (novel
+                                    // states and wake-up candidates) are
+                                    // canonicalised into owned states.
+                                    let n_succ = for_each_thread_successor(
+                                        prog,
+                                        objs,
+                                        &cfg,
+                                        t,
+                                        opts.step,
+                                        &mut scratch,
+                                        |succ| {
+                                            // Every edge, visited or not, raw.
+                                            on_edge(&cfg, tid, succ);
+                                            // The successor's persistent set
+                                            // (full without dpor): a pure
+                                            // function of the program counters,
+                                            // computed on the raw successor and
+                                            // transported through σ by the
+                                            // store (symmetric threads have
+                                            // equal future footprints).
+                                            let pmask = pers
+                                                .as_ref()
+                                                .map_or(full, |p| p.persistent_mask(succ.pcs()));
+                                            if por {
+                                                if let Some(tl) = &tel {
+                                                    // Reduction attribution per
+                                                    // successor (zero when the
+                                                    // reduction is off) — same
+                                                    // sites as the sequential
+                                                    // engine's.
+                                                    tl.add(
+                                                        Counter::SleepSetPrunes,
+                                                        (pmask & child_sleep).count_ones()
+                                                            as u64,
+                                                    );
+                                                    tl.add(
+                                                        Counter::PersistentSheds,
+                                                        (full & !pmask).count_ones() as u64,
+                                                    );
+                                                }
                                             }
-                                        }
-                                        items.push((
-                                            succ,
-                                            v,
-                                            pmask & !child_sleep,
-                                            child_sleep,
-                                        ));
-                                    }
+                                            survivors.extend(visited.filter(
+                                                succ,
+                                                pmask & !child_sleep,
+                                                child_sleep,
+                                                symm,
+                                                por,
+                                                &mut perms,
+                                                || edge_value(&cfg, tid),
+                                            ));
+                                        },
+                                    );
+                                    n_transitions += n_succ;
                                 }
+                                // Shared counters are bumped once per
+                                // expansion, not per thread or successor:
+                                // with a cheap kernel their cache-line
+                                // traffic is what limits scaling.
+                                transitions.fetch_add(n_transitions, Ordering::Relaxed);
+                                if let Some(tl) = &tel {
+                                    tl.add(Counter::Transitions, n_transitions as u64);
+                                }
+                                let any_succ = n_transitions > 0;
                                 if !any_succ {
                                     if first
                                         // Only a first visit may classify,
@@ -1188,6 +1220,7 @@ where
                                             &cfg,
                                             full & !mask,
                                             opts.step,
+                                            &mut scratch,
                                         )
                                     {
                                         if cfg.terminated(prog) {
@@ -1214,19 +1247,25 @@ where
                                         let rest = full & !mask & !sleep;
                                         if rest != 0
                                             && por::has_any_successor(
-                                                prog, objs, &cfg, rest, opts.step,
+                                                prog,
+                                                objs,
+                                                &cfg,
+                                                rest,
+                                                opts.step,
+                                                &mut scratch,
                                             )
                                         {
-                                            let (_, woken) = visited.insert_batch(
-                                                vec![(
-                                                    cfg,
-                                                    retry_val.clone(),
-                                                    mask | rest,
-                                                    sleep,
-                                                )],
+                                            let retry = visited.filter(
+                                                &cfg,
+                                                mask | rest,
+                                                sleep,
                                                 symm,
                                                 por,
+                                                &mut perms,
+                                                || retry_val.clone(),
                                             );
+                                            let (_, woken) =
+                                                visited.commit(retry.into_iter().collect());
                                             for (canon, missing, slp) in woken {
                                                 if let Some(t) = &tel {
                                                     t.frontier_add(1);
@@ -1249,23 +1288,22 @@ where
                                     // successors, marking truncation only
                                     // if one actually existed — mirroring
                                     // the sequential explorers.
-                                    if items
-                                        .iter()
-                                        .any(|(succ, ..)| !visited.contains_state(succ, symm))
-                                    {
+                                    if survivors.iter().any(|t| !visited.contains_canon(&t.canon)) {
                                         truncated.store(true, Ordering::Relaxed);
                                     }
                                     continue;
                                 }
-                                let (novel, woken) = visited.insert_batch(items, symm, por);
+                                let (novel, woken) = visited.commit(survivors);
                                 let n_queued = novel.len() + woken.len();
+                                n_states.fetch_add(novel.len(), Ordering::Relaxed);
+                                mem_bytes.fetch_add(
+                                    novel.iter().map(|(c, ..)| c.approx_bytes()).sum(),
+                                    Ordering::Relaxed,
+                                );
+                                if let Some(t) = &tel {
+                                    t.add(Counter::States, novel.len() as u64);
+                                }
                                 for (canon, explored, slp) in novel {
-                                    n_states.fetch_add(1, Ordering::Relaxed);
-                                    mem_bytes
-                                        .fetch_add(canon.approx_bytes(), Ordering::Relaxed);
-                                    if let Some(t) = &tel {
-                                        t.incr(Counter::States);
-                                    }
                                     on_novel(&canon, &mut buf);
                                     debug_assert!(
                                         buf.is_empty(),
@@ -1297,11 +1335,12 @@ where
                                 // with, and the round-trip is pure cost.
                                 if n_workers > 1
                                     && (local.len() > KEEP_LOCAL
-                                        || (local.len() > FLUSH_BATCH
+                                        || (local.len() > 1
+                                            && idle.load(Ordering::Relaxed) > 0
                                             && injector.is_empty()))
                                 {
-                                    let shared: Vec<WorkItem> =
-                                        local.drain(..FLUSH_BATCH).collect();
+                                    let k = (local.len() / 2).min(FLUSH_BATCH);
+                                    let shared: Vec<WorkItem> = local.drain(..k).collect();
                                     pending.fetch_add(1, Ordering::SeqCst);
                                     if let Some(t) = &tel {
                                         t.incr(Counter::InjectorFlushes);
@@ -1359,6 +1398,10 @@ where
                         Steal::Empty => {
                             if pending.load(Ordering::SeqCst) == 0 {
                                 break;
+                            }
+                            if !is_idle {
+                                idle.fetch_add(1, Ordering::Relaxed);
+                                is_idle = true;
                             }
                             std::thread::yield_now();
                         }
@@ -1478,6 +1521,10 @@ pub fn par_explore(
         sym::expand_terminals(spec, &mut stats.terminated);
         sym::expand_terminals(spec, &mut stats.deadlocked);
     }
+    // Workers classify terminals in scheduling order; report them in a
+    // fixed one, so a report does not depend on how work was shared.
+    stats.terminated.sort_unstable();
+    stats.deadlocked.sort_unstable();
 
     let violations = found
         .into_inner()

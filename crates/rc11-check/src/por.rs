@@ -74,7 +74,7 @@
 use rc11_core::StepFootprint;
 use rc11_lang::cfg::CfgProgram;
 use rc11_lang::machine::{
-    thread_footprint, thread_successors, Config, ObjectSemantics, StepOptions,
+    for_each_thread_successor, thread_footprint, Config, ObjectSemantics, StepOptions,
 };
 
 /// A set of threads as a bitmask. Thread counts in this workspace are tiny
@@ -166,18 +166,22 @@ pub(crate) fn child_sleep_static(
 /// discarded and must **not** be counted as transitions (a later wake-up
 /// of those threads would re-generate and re-count them, breaking the
 /// `reduced ≤ full` invariant) — which is why this returns only a bool.
+///
+/// Probe successors are built in the caller's reused `scratch`
+/// configuration, so the probe allocates nothing.
 pub(crate) fn has_any_successor(
     prog: &CfgProgram,
     objs: &dyn ObjectSemantics,
     cfg: &Config,
     mask: ThreadMask,
     step: StepOptions,
+    scratch: &mut Config,
 ) -> bool {
     let mut m = mask;
     while m != 0 {
         let t = m.trailing_zeros() as usize;
         m &= m - 1;
-        if !thread_successors(prog, objs, cfg, t, step).is_empty() {
+        if for_each_thread_successor(prog, objs, cfg, t, step, scratch, |_| {}) > 0 {
             return true;
         }
     }

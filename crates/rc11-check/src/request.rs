@@ -260,12 +260,22 @@ impl CheckService {
     /// parser's span-carrying message; everything after the parse —
     /// including engine panics — comes back as a [`CheckResponse`].
     pub fn check_source(&self, src: &str, params: &CheckParams) -> Result<CheckResponse, String> {
+        // The baseline precedes parsing, so the response's per-request
+        // telemetry delta includes the parse phase.
+        let tel0 = params.telemetry.as_ref().map(|t| t.snapshot());
         let parsed = match &params.telemetry {
             Some(t) => t.time_phase(Phase::Parse, || parse_litmus(src)),
             None => parse_litmus(src),
         }
         .map_err(|e| e.to_string())?;
-        Ok(self.check_parts(&parsed.name, &parsed.prog, &parsed.observe, &parsed.expected, params))
+        Ok(self.check_parts_since(
+            &parsed.name,
+            &parsed.prog,
+            &parsed.observe,
+            &parsed.expected,
+            params,
+            tel0,
+        ))
     }
 
     /// Check an already-parsed litmus test. This is the one pipeline:
@@ -278,12 +288,30 @@ impl CheckService {
         expected: &BTreeSet<Vec<Val>>,
         params: &CheckParams,
     ) -> CheckResponse {
+        self.check_parts_since(name, prog, observe, expected, params, None)
+    }
+
+    /// [`CheckService::check_parts`] with the per-request telemetry
+    /// baseline `tel0` taken by the caller (a snapshot of
+    /// `params.telemetry`), so work done for this request before the
+    /// call — parsing the source — lands in the response's delta too.
+    /// `None` takes the baseline here.
+    pub fn check_parts_since(
+        &self,
+        name: &str,
+        prog: &Program,
+        observe: &[(usize, Reg)],
+        expected: &BTreeSet<Vec<Val>>,
+        params: &CheckParams,
+        tel0: Option<TelemetrySnapshot>,
+    ) -> CheckResponse {
         self.requests.fetch_add(1, Ordering::Relaxed);
         let tel = params.telemetry.as_deref();
         // Baseline for the per-request delta: taken before any phase
-        // timing so the response snapshot attributes canon, fingerprint,
-        // cache-probe *and* exploration to this request.
-        let tel0 = tel.map(|t| t.snapshot());
+        // timing (by the caller when it parsed), so the response snapshot
+        // attributes parse, canon, fingerprint, cache-probe *and*
+        // exploration to this request.
+        let tel0 = tel0.or_else(|| tel.map(|t| t.snapshot()));
         let req_start = Instant::now();
         let mut words = match tel {
             Some(t) => t.time_phase(Phase::Canon, || canonical_litmus_words(prog, observe, expected)),

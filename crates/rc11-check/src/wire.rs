@@ -178,9 +178,16 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Parse one JSON value; trailing (non-whitespace) input is an error.
+/// How deeply arrays and objects may nest. The parser recurses once per
+/// level, and a stack overflow aborts the whole daemon (`catch_unwind`
+/// cannot contain it), so a hostile line like a million `[`s must be an
+/// error instead. Protocol messages nest three levels.
+const MAX_DEPTH: usize = 64;
+
+/// Parse one JSON value; trailing (non-whitespace) input is an error, as
+/// is nesting deeper than [`MAX_DEPTH`].
 pub fn parse_json(src: &str) -> Result<Json, JsonError> {
-    let mut p = Parser { src: src.as_bytes(), pos: 0 };
+    let mut p = Parser { src: src.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -193,6 +200,8 @@ pub fn parse_json(src: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     src: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -242,12 +251,23 @@ impl Parser<'_> {
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if self.depth >= MAX_DEPTH => {
+                Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")))
+            }
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.err(format!("unexpected `{}`", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parse a container one level deeper.
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Json, JsonError>) -> Result<Json, JsonError> {
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -417,6 +437,18 @@ mod tests {
         let s = "quote \" backslash \\ newline \n tab \t nul \u{0} unicode é";
         let line = Json::Str(s.into()).to_string_line();
         assert_eq!(parse_json(&line).unwrap().as_str(), Some(s));
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        for open in ["[", "{\"k\":"] {
+            let line = open.repeat(1_000_000);
+            let e = parse_json(&line).expect_err("hostile nesting must be rejected");
+            assert!(e.msg.contains("nesting deeper than"), "{e}");
+            assert_eq!(e.at, MAX_DEPTH * open.len(), "the error points at the level too deep");
+        }
+        let ok = format!("{}1{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse_json(&ok).is_ok(), "nesting up to the cap parses");
     }
 
     #[test]

@@ -120,7 +120,7 @@ fn traces_are_omitted_when_disabled() {
     let prog = deadlock_prog();
     let opts = ExploreOptions { record_traces: false, ..Default::default() };
     let check = |cfg: &Config, out: &mut Vec<String>| {
-        if cfg.pcs.iter().all(|&pc| pc > 0) {
+        if cfg.pcs().iter().all(|&pc| pc > 0) {
             out.push("all threads moved".to_string());
         }
     };

@@ -10,9 +10,10 @@
 //! states on canonical forms; without this, every interleaving would look
 //! fresh and exploration would never converge (ablation A1 in DESIGN.md).
 //!
-//! Materialising the canonical form ([`Combined::canonical`]) clones every
-//! op record, `mo` vector and view — far too expensive to pay once per
-//! generated successor. This module therefore also provides the
+//! Materialising the canonical form ([`Combined::canonical`]) allocates and
+//! fills a whole new state — too expensive to pay once per generated
+//! successor, most of which are duplicates. This module therefore also
+//! provides the
 //! **zero-rebuild canonical walk**: given the canonical permutations
 //! ([`Combined::canonical_perms`]), [`Combined::hash_canonical_with`]
 //! streams the canonical serialisation of a state into any
@@ -27,10 +28,9 @@
 //! materialised-canonical dedup (ablation A4 in DESIGN.md).
 
 use crate::combined::Combined;
-use crate::ids::{Loc, OpId, Tid};
-use crate::state::{CState, OpRecord};
-use crate::view::View;
-use std::hash::{Hash, Hasher};
+use crate::ids::{Comp, OpId};
+use crate::state::{CState, OpRecord, CVD_BIT, MVIEW_WORD, RANK_WORD};
+use std::hash::Hasher;
 
 /// The inverse of a thread permutation `sigma[old] = new`: `inv[new] = old`.
 fn invert_tperm(sigma: &[u8]) -> Vec<u8> {
@@ -41,99 +41,78 @@ fn invert_tperm(sigma: &[u8]) -> Vec<u8> {
     inv
 }
 
-/// Build the canonical permutation for one component: `perm[old] = new`,
-/// numbering ops by location then modification-order position.
-fn perm_of(st: &CState) -> Vec<OpId> {
-    let mut perm = vec![OpId(0); st.n_ops()];
-    let mut next = 0u32;
-    for li in 0..st.n_locs() {
-        for &w in st.mo(Loc(li as u16)) {
-            perm[w.idx()] = OpId(next);
-            next += 1;
-        }
+/// The canonical permutation of one component into `out`:
+/// `perm[old] = new`, numbering ops by location then modification-order
+/// position — i.e. by position in the concatenated `mo` runs.
+fn perm_into(st: CState<'_>, out: &mut Vec<OpId>) {
+    out.clear();
+    out.resize(st.n_ops(), OpId(0));
+    for (new, &w) in st.mo_all().iter().enumerate() {
+        out[w.idx()] = OpId(new as u32);
     }
-    debug_assert_eq!(next as usize, st.n_ops());
-    perm
 }
 
-/// Rebuild a component state with ids renumbered by `perm` (own ids) and
-/// `perm_other` (ids appearing in cross-component view halves), and —
+/// Record word 0 of op row `row`, with the thread id renamed by `tperm`.
+/// Initialisation operations (rank 0 — inserts always land at rank ≥ 1)
+/// belong to no thread and keep their dummy `Tid(0)`.
+#[inline]
+fn tid_word(row: &[u32], tperm: Option<&[u8]>) -> u32 {
+    match tperm {
+        Some(sigma) if row[RANK_WORD] & !CVD_BIT != 0 => {
+            OpRecord::with_tid_word(row[0], sigma[OpRecord::tid_of_word(row[0]) as usize])
+        }
+        _ => row[0],
+    }
+}
+
+/// Append component `st` to `out` with op ids renumbered by `perm` (own
+/// ids) and `perm_other` (ids in cross-component view halves), and —
 /// when `tperm` is given — thread ids permuted by `tperm[old] = new`.
-/// Initialisation operations (modification-order position 0 on every
-/// location) belong to no thread and keep their dummy `Tid(0)`.
-fn renumber(st: &CState, perm: &[OpId], perm_other: &[OpId], tperm: Option<&[u8]>) -> CState {
-    let (ops, mo, tview, mview_own, mview_other, cvd) = st.raw_parts();
-    let n = ops.len();
-
-    // Which ops are initialisation ops: exactly the mo-position-0 entry of
-    // every location (inserts always land at rank ≥ 1).
-    let mut is_init = vec![false; n];
-    for locs in mo {
-        is_init[locs[0].idx()] = true;
+fn renumber_into(
+    st: CState<'_>,
+    perm: &[OpId],
+    perm_other: &[OpId],
+    tperm: Option<&[u8]>,
+    out: &mut Vec<u32>,
+) {
+    let d = st.dims();
+    let w = st.words();
+    let remap = |e: &u32| perm[*e as usize].0;
+    // Thread views in their new slots: new slot `j` holds old thread `inv[j]`.
+    let inv = tperm.map(invert_tperm);
+    for j in 0..d.threads {
+        let old = inv.as_ref().map_or(j, |inv| inv[j] as usize);
+        out.extend(w[old * d.locs..(old + 1) * d.locs].iter().map(remap));
     }
-
-    let mut new_ops = ops.to_vec();
-    let mut new_cvd = vec![false; n];
-    let mut new_mview_own: Vec<Option<View>> = vec![None; n];
-    let mut new_mview_other: Vec<Option<View>> = vec![None; n];
-    for old in 0..n {
-        let new = perm[old].idx();
-        let mut rec = ops[old];
-        if let Some(sigma) = tperm {
-            if !is_init[old] {
-                rec.tid = Tid(sigma[rec.tid.idx()]);
-            }
+    out.extend_from_slice(&w[d.mo_end_at()..d.mo_at()]);
+    out.extend(w[d.mo_at()..d.rows_at()].iter().map(remap));
+    let r = d.row_len();
+    let rows_out = out.len();
+    out.resize(rows_out + d.ops * r, 0);
+    for old in 0..d.ops {
+        let src = &w[d.rows_at() + old * r..][..r];
+        let dst = &mut out[rows_out + perm[old].idx() * r..][..r];
+        dst[..MVIEW_WORD].copy_from_slice(&src[..MVIEW_WORD]);
+        dst[0] = tid_word(src, tperm);
+        for (o, e) in dst[MVIEW_WORD..MVIEW_WORD + d.locs].iter_mut().zip(&src[MVIEW_WORD..]) {
+            *o = perm[*e as usize].0;
         }
-        new_ops[new] = rec;
-        new_cvd[new] = cvd[old];
-        let mut own = mview_own[old].clone();
-        own.remap(perm);
-        new_mview_own[new] = Some(own);
-        let mut other = mview_other[old].clone();
-        other.remap(perm_other);
-        new_mview_other[new] = Some(other);
-    }
-
-    let new_mo: Vec<Vec<OpId>> = mo
-        .iter()
-        .map(|locs| locs.iter().map(|w| perm[w.idx()]).collect())
-        .collect();
-
-    let mut new_tview: Vec<View> = tview
-        .iter()
-        .map(|v| {
-            let mut v = v.clone();
-            v.remap(perm);
-            v
-        })
-        .collect();
-    if let Some(sigma) = tperm {
-        let remapped = new_tview;
-        new_tview = vec![View::from_entries(Vec::new()); remapped.len()];
-        for (old_t, v) in remapped.into_iter().enumerate() {
-            new_tview[sigma[old_t] as usize] = v;
+        for (o, e) in dst[MVIEW_WORD + d.locs..].iter_mut().zip(&src[MVIEW_WORD + d.locs..]) {
+            *o = perm_other[*e as usize].0;
         }
     }
-
-    CState::from_raw_parts(
-        st.comp,
-        new_ops,
-        new_mo,
-        new_tview,
-        new_mview_own.into_iter().map(|v| v.unwrap()).collect(),
-        new_mview_other.into_iter().map(|v| v.unwrap()).collect(),
-        new_cvd,
-    )
 }
 
 /// The canonical permutations of a [`Combined`] state: `perm[old] = new`
 /// for each component, numbering ops by `(location, mo-position)`.
 ///
-/// Computing the permutations is the cheap part of canonicalisation (two
-/// dense passes, no view cloning); they are reused across the fingerprint
-/// walk, the canonical-equality walk and — when a state turns out to be
-/// novel — the single materialising [`Combined::canonical_with`] call.
-#[derive(Debug, Clone)]
+/// Computing the permutations is the cheap part of canonicalisation (one
+/// pass over each component's `mo` runs); they are reused across the
+/// fingerprint walk, the canonical-equality walk and — when a state turns
+/// out to be novel — the single materialising [`Combined::canonical_with`]
+/// call. Engines keep one `CanonPerms` per worker and refill it with
+/// [`Combined::canonical_perms_into`], so probing allocates nothing.
+#[derive(Debug, Clone, Default)]
 pub struct CanonPerms {
     /// Client-component permutation (`perm[old] = new`).
     pub client: Vec<OpId>,
@@ -142,116 +121,95 @@ pub struct CanonPerms {
     /// Optional thread permutation (`threads[old tid] = new tid`) applied on
     /// top of the op renumbering — the symmetry-reduction hook (ablation A6).
     /// `None` means the identity. The op permutations commute with any
-    /// thread permutation because [`perm_of`] orders ops purely by
+    /// thread permutation because they order ops purely by
     /// `(location, mo-position)`, which thread renaming leaves untouched.
     pub threads: Option<Vec<u8>>,
 }
 
 /// Stream one component's canonical serialisation into `h`: framing
-/// (loc/thread/op counts and per-location `mo` lengths — which fully
-/// determine the canonical `mo` vectors, since canonical ids are
-/// consecutive in `(location, mo-position)` order), then every op record,
-/// covered flag and modification-view pair in canonical id order with view
-/// entries remapped on the fly, then the remapped thread views.
+/// (loc/thread/op counts and the cumulative per-location `mo` run ends —
+/// which fully determine the canonical `mo` runs, since canonical ids are
+/// consecutive in `(location, mo-position)` order), then every op's
+/// record words, covered flag and modification-view pair in canonical id
+/// order with view entries remapped on the fly, then the remapped thread
+/// views.
 fn hash_component<H: Hasher>(
-    st: &CState,
+    st: CState<'_>,
     perm: &[OpId],
     perm_other: &[OpId],
     tperm: Option<&[u8]>,
     h: &mut H,
 ) {
-    let (ops, mo, tview, mview_own, mview_other, cvd) = st.raw_parts();
-    h.write_usize(mo.len());
-    h.write_usize(tview.len());
-    h.write_usize(ops.len());
-    for locs in mo {
-        h.write_usize(locs.len());
+    let d = st.dims();
+    let w = st.words();
+    h.write_usize(d.locs);
+    h.write_usize(d.threads);
+    h.write_usize(d.ops);
+    for &e in &w[d.mo_end_at()..d.mo_at()] {
+        h.write_u32(e);
     }
-    for locs in mo {
-        for (pos, &w) in locs.iter().enumerate() {
-            let old = w.idx();
-            // mo-position 0 is the location's initialisation op, which
-            // belongs to no thread — its dummy tid stays fixed under any
-            // thread permutation.
-            match tperm {
-                Some(sigma) if pos > 0 => {
-                    let rec = ops[old];
-                    OpRecord { tid: Tid(sigma[rec.tid.idx()]), ..rec }.hash(h);
-                }
-                _ => ops[old].hash(h),
-            }
-            h.write_u8(cvd[old] as u8);
-            mview_own[old].hash_remapped(perm, h);
-            mview_other[old].hash_remapped(perm_other, h);
+    for &op in st.mo_all() {
+        let row = st.row(op);
+        h.write_u32(tid_word(row, tperm));
+        for &x in &row[1..OpRecord::WORDS] {
+            h.write_u32(x);
+        }
+        h.write_u8((row[RANK_WORD] & CVD_BIT != 0) as u8);
+        for &e in &row[MVIEW_WORD..MVIEW_WORD + d.locs] {
+            h.write_u32(perm[e as usize].0);
+        }
+        for &e in &row[MVIEW_WORD + d.locs..] {
+            h.write_u32(perm_other[e as usize].0);
         }
     }
-    match tperm {
-        Some(sigma) => {
-            // Thread views in *canonical* slot order: new slot `j` holds the
-            // view of the old thread `inv[j]`.
-            let inv = invert_tperm(sigma);
-            for &old_t in &inv {
-                tview[old_t as usize].hash_remapped(perm, h);
-            }
-        }
-        None => {
-            for tv in tview {
-                tv.hash_remapped(perm, h);
-            }
+    // Thread views in *canonical* slot order: new slot `j` holds the view
+    // of the old thread `inv[j]`.
+    let inv = tperm.map(invert_tperm);
+    for j in 0..d.threads {
+        let old = inv.as_ref().map_or(j, |inv| inv[j] as usize);
+        for &e in &w[old * d.locs..(old + 1) * d.locs] {
+            h.write_u32(perm[e as usize].0);
         }
     }
 }
 
 /// True iff renumbering `st` through `perm`/`perm_other` would yield
 /// exactly `canon` — which must already be in canonical form (its `mo`
-/// vectors consecutive in `(location, mo-position)` order, as produced by
+/// runs consecutive in `(location, mo-position)` order, as produced by
 /// [`Combined::canonical`]). Walks without materialising anything.
 fn component_canonical_eq(
-    st: &CState,
+    st: CState<'_>,
     perm: &[OpId],
     perm_other: &[OpId],
     tperm: Option<&[u8]>,
-    canon: &CState,
+    canon: CState<'_>,
 ) -> bool {
-    let (ops, mo, tview, mview_own, mview_other, cvd) = st.raw_parts();
-    let (cops, cmo, ctview, cmview_own, cmview_other, ccvd) = canon.raw_parts();
-    if ops.len() != cops.len() || mo.len() != cmo.len() || tview.len() != ctview.len() {
+    let d = st.dims();
+    if d != canon.dims() {
         return false;
     }
-    let mut new_id = 0usize;
-    for (locs, clocs) in mo.iter().zip(cmo) {
-        if locs.len() != clocs.len() {
+    let (w, cw) = (st.words(), canon.words());
+    if w[d.mo_end_at()..d.mo_at()] != cw[d.mo_end_at()..d.mo_at()] {
+        return false;
+    }
+    let remapped_eq = |src: &[u32], dst: &[u32], perm: &[OpId]| {
+        src.iter().zip(dst).all(|(e, o)| perm[*e as usize].0 == *o)
+    };
+    for (new, &op) in st.mo_all().iter().enumerate() {
+        let (row, crow) = (st.row(op), canon.row(OpId(new as u32)));
+        if tid_word(row, tperm) != crow[0]
+            || row[1..MVIEW_WORD] != crow[1..MVIEW_WORD]
+            || !remapped_eq(&row[MVIEW_WORD..MVIEW_WORD + d.locs], &crow[MVIEW_WORD..], perm)
+            || !remapped_eq(&row[MVIEW_WORD + d.locs..], &crow[MVIEW_WORD + d.locs..], perm_other)
+        {
             return false;
         }
-        for (pos, &w) in locs.iter().enumerate() {
-            let old = w.idx();
-            let rec = match tperm {
-                // Init ops (mo-position 0) belong to no thread; see
-                // `hash_component`.
-                Some(sigma) if pos > 0 => {
-                    OpRecord { tid: Tid(sigma[ops[old].tid.idx()]), ..ops[old] }
-                }
-                _ => ops[old],
-            };
-            if rec != cops[new_id]
-                || cvd[old] != ccvd[new_id]
-                || !mview_own[old].eq_remapped(perm, &cmview_own[new_id])
-                || !mview_other[old].eq_remapped(perm_other, &cmview_other[new_id])
-            {
-                return false;
-            }
-            new_id += 1;
-        }
     }
-    match tperm {
-        Some(sigma) => {
-            let inv = invert_tperm(sigma);
-            inv.iter()
-                .zip(ctview)
-                .all(|(&old_t, ctv)| tview[old_t as usize].eq_remapped(perm, ctv))
-        }
-        None => tview.iter().zip(ctview).all(|(tv, ctv)| tv.eq_remapped(perm, ctv)),
-    }
+    let inv = tperm.map(invert_tperm);
+    (0..d.threads).all(|j| {
+        let old = inv.as_ref().map_or(j, |inv| inv[j] as usize);
+        remapped_eq(&w[old * d.locs..(old + 1) * d.locs], &cw[j * d.locs..], perm)
+    })
 }
 
 impl Combined {
@@ -259,7 +217,17 @@ impl Combined {
     /// with the identity thread permutation.
     #[must_use]
     pub fn canonical_perms(&self) -> CanonPerms {
-        CanonPerms { client: perm_of(self.client()), lib: perm_of(self.lib()), threads: None }
+        let mut perms = CanonPerms::default();
+        self.canonical_perms_into(&mut perms);
+        perms
+    }
+
+    /// [`Combined::canonical_perms`] into a reused buffer (thread
+    /// permutation reset to the identity).
+    pub fn canonical_perms_into(&self, perms: &mut CanonPerms) {
+        perm_into(self.client(), &mut perms.client);
+        perm_into(self.lib(), &mut perms.lib);
+        perms.threads = None;
     }
 
     /// The canonical representative of this state: ids renumbered by
@@ -274,12 +242,21 @@ impl Combined {
     /// [`Combined::canonical`] with precomputed permutations — lets a
     /// caller that already fingerprinted a state (and found it novel)
     /// materialise the canonical form without recomputing the permutations.
+    /// One allocation, of exactly the state's size; the control region is
+    /// copied verbatim.
     #[must_use]
     pub fn canonical_with(&self, perms: &CanonPerms) -> Combined {
-        let tperm = perms.threads.as_deref();
-        let client = renumber(self.client(), &perms.client, &perms.lib, tperm);
-        let lib = renumber(self.lib(), &perms.lib, &perms.client, tperm);
-        Combined::from_parts(client, lib)
+        self.renumbered(&perms.client, &perms.lib, perms.threads.as_deref())
+    }
+
+    /// This state with ids renumbered by `client`/`lib` and threads by
+    /// `tperm`, built in one exactly-sized buffer.
+    fn renumbered(&self, client: &[OpId], lib: &[OpId], tperm: Option<&[u8]>) -> Combined {
+        let mut buf = Vec::with_capacity(self.buf.len());
+        buf.extend_from_slice(self.control());
+        renumber_into(self.client(), client, lib, tperm, &mut buf);
+        renumber_into(self.lib(), lib, client, tperm, &mut buf);
+        Combined { shape: self.shape, buf }
     }
 
     /// Rebuild this state with thread ids permuted by `sigma[old] = new`
@@ -289,16 +266,12 @@ impl Combined {
     /// automorphism — the detection side lives in `rc11-analyze`.
     #[must_use]
     pub fn permute_threads(&self, sigma: &[u8]) -> Combined {
-        let identity = |st: &CState| (0..st.n_ops() as u32).map(OpId).collect::<Vec<_>>();
-        let cid = identity(self.client());
-        let lid = identity(self.lib());
-        let client = renumber(self.client(), &cid, &lid, Some(sigma));
-        let lib = renumber(self.lib(), &lid, &cid, Some(sigma));
-        Combined::from_parts(client, lib)
+        let identity = |c: Comp| (0..self.comp(c).n_ops() as u32).map(OpId).collect::<Vec<_>>();
+        self.renumbered(&identity(Comp::Client), &identity(Comp::Lib), Some(sigma))
     }
 
     /// Stream this state's *canonical* serialisation into `h` without
-    /// materialising the canonical form. Two states feed identical byte
+    /// materialising the canonical form. Two states feed identical word
     /// streams into `h` iff their canonical forms are equal, so a
     /// wide-enough hash of this walk is a canonical fingerprint (the
     /// 128-bit instantiation lives in `rc11_check::fxhash`).
@@ -336,7 +309,7 @@ impl Combined {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::{Comp, Tid};
+    use crate::ids::{Loc, Tid};
     use crate::state::InitLoc;
     use crate::val::Val;
 
@@ -448,7 +421,7 @@ mod tests {
     fn walk_distinguishes_covered_flags() {
         let s = base().apply_write(Comp::Client, Tid(0), X, Val::Int(1), true, OpId(0));
         let mut covered = s.clone();
-        covered.comp_mut(Comp::Client).cover(OpId(0));
+        covered.cover(Comp::Client, OpId(0));
         assert_ne!(walk_hash(&s), walk_hash(&covered));
         assert!(!s.canonical_eq(&covered.canonical()));
         assert!(!covered.canonical_eq(&s.canonical()));

@@ -9,12 +9,14 @@
 //! Nondeterminism is explicit: `*_choices`/`*_preds` enumerate the premises
 //! Figure 5 existentially quantifies over (which observable write a read
 //! reads from; which uncovered observable write a write/update succeeds),
-//! and `apply_*` builds the unique successor state for one choice. The
-//! explorer (rc11-check) fans out over all choices.
+//! and `apply_*` builds the unique successor state for one choice —
+//! `step_*` applies it in place, which is how the exploration engines build
+//! successors in a reused buffer. The explorer (rc11-check) fans out over
+//! all choices.
 
-use crate::action::OpAction;
+use crate::action::{MethodOp, OpAction};
 use crate::ids::{Comp, Loc, OpId, Tid};
-use crate::state::{CState, InitLoc, OpRecord};
+use crate::state::{CState, Dims, InitLoc, OpRecord, CVD_BIT, MVIEW_WORD, RANK_WORD};
 use crate::val::Val;
 
 /// One possible result of a read: the operation read from and its value.
@@ -26,10 +28,132 @@ pub struct ReadChoice {
     pub val: Val,
 }
 
-/// The combined memory state: client component + library component.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// The header of a [`Combined`] buffer: everything needed to locate each
+/// region. Only the op counts change over a run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct Shape {
+    /// Words of the leading control region (see [`Combined::control`]).
+    pub(crate) ctl: u32,
+    pub(crate) threads: u32,
+    pub(crate) locs: [u32; 2],
+    pub(crate) ops: [u32; 2],
+}
+
+impl Shape {
+    /// The dimensions of component `c`'s region.
+    #[inline]
+    pub(crate) fn dims(&self, c: Comp) -> Dims {
+        Dims {
+            threads: self.threads as usize,
+            locs: self.locs[c.idx()] as usize,
+            other_locs: self.locs[c.other().idx()] as usize,
+            ops: self.ops[c.idx()] as usize,
+        }
+    }
+
+    /// Where component `c`'s region starts in the buffer.
+    #[inline]
+    pub(crate) fn base(&self, c: Comp) -> usize {
+        match c {
+            Comp::Client => self.ctl as usize,
+            Comp::Lib => self.ctl as usize + self.dims(Comp::Client).len(),
+        }
+    }
+}
+
+/// The combined memory state: client component + library component, in
+/// one flat `u32` buffer (layout in [`crate::state`]'s module docs).
+///
+/// Cloning is one allocation plus a `memcpy`, dropping is one free, and
+/// [`Clone::clone_from`] reuses the destination's buffer — the exploration
+/// engines step successors in place in a reused scratch state and copy out
+/// only the novel ones.
+///
+/// The buffer starts with a *control region* the memory semantics never
+/// reads: `rc11_lang::machine::Config` keeps the program counters and
+/// register files there, so a whole configuration is a single buffer.
+/// Equality and hashing of a `Combined` cover the memory only.
 pub struct Combined {
-    states: [CState; 2],
+    pub(crate) shape: Shape,
+    pub(crate) buf: Vec<u32>,
+}
+
+impl Clone for Combined {
+    fn clone(&self) -> Combined {
+        Combined { shape: self.shape, buf: self.buf.clone() }
+    }
+
+    fn clone_from(&mut self, source: &Combined) {
+        self.shape = source.shape;
+        self.buf.clone_from(&source.buf);
+    }
+}
+
+impl PartialEq for Combined {
+    fn eq(&self, other: &Combined) -> bool {
+        self.shape.threads == other.shape.threads
+            && self.shape.locs == other.shape.locs
+            && self.memory() == other.memory()
+    }
+}
+
+impl Eq for Combined {}
+
+/// An arbitrary but fixed total order over the memory words, consistent
+/// with equality — it lets an engine report states in an order that does
+/// not depend on how its workers were scheduled.
+impl Ord for Combined {
+    fn cmp(&self, other: &Combined) -> std::cmp::Ordering {
+        (self.shape.threads, self.shape.locs, self.memory()).cmp(&(
+            other.shape.threads,
+            other.shape.locs,
+            other.memory(),
+        ))
+    }
+}
+
+impl PartialOrd for Combined {
+    fn partial_cmp(&self, other: &Combined) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl std::hash::Hash for Combined {
+    fn hash<H: std::hash::Hasher>(&self, h: &mut H) {
+        self.shape.threads.hash(h);
+        self.shape.locs.hash(h);
+        self.memory().hash(h);
+    }
+}
+
+impl std::fmt::Debug for Combined {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Combined")
+            .field("client", &self.client())
+            .field("lib", &self.lib())
+            .finish()
+    }
+}
+
+/// Append one freshly initialised component region to `buf`.
+fn init_region(buf: &mut Vec<u32>, inits: &[InitLoc], other_locs: usize, n_threads: usize) {
+    let n = inits.len();
+    for _ in 0..n_threads {
+        buf.extend(0..n as u32);
+    }
+    buf.extend(1..=n as u32);
+    buf.extend(0..n as u32);
+    for (i, init) in inits.iter().enumerate() {
+        let act = match *init {
+            InitLoc::Var(v) => OpAction::Write { v, rel: false },
+            InitLoc::Obj => OpAction::Method(MethodOp::Init),
+        };
+        // Initialising writes belong to no particular thread; use T0.
+        buf.extend(OpRecord { loc: Loc(i as u16), tid: Tid(0), act }.encode());
+        buf.push(0);
+        buf.extend(0..n as u32);
+        buf.extend(0..other_locs as u32);
+    }
 }
 
 impl Combined {
@@ -40,72 +164,223 @@ impl Combined {
     /// (`γInit.mview_x = γInit.tview_t ∪ βInit.tview_t`).
     pub fn new(client_inits: &[InitLoc], lib_inits: &[InitLoc], n_threads: usize) -> Combined {
         assert!(n_threads >= 1, "at least one thread");
-        let mut client = CState::init(Comp::Client, client_inits, n_threads);
-        let mut lib = CState::init(Comp::Lib, lib_inits, n_threads);
-        let cv = client.tview(Tid(0)).clone();
-        let lv = lib.tview(Tid(0)).clone();
-        for i in 0..client.n_ops() {
-            client.set_mview(OpId(i as u32), cv.clone(), lv.clone());
-        }
-        for i in 0..lib.n_ops() {
-            lib.set_mview(OpId(i as u32), lv.clone(), cv.clone());
-        }
-        Combined { states: [client, lib] }
+        assert!(n_threads <= u8::MAX as usize + 1, "thread ids are 8-bit");
+        let shape = Shape {
+            ctl: 0,
+            threads: n_threads as u32,
+            locs: [client_inits.len() as u32, lib_inits.len() as u32],
+            ops: [client_inits.len() as u32, lib_inits.len() as u32],
+        };
+        let mut buf = Vec::with_capacity(
+            shape.dims(Comp::Client).len() + shape.dims(Comp::Lib).len(),
+        );
+        init_region(&mut buf, client_inits, lib_inits.len(), n_threads);
+        init_region(&mut buf, lib_inits, client_inits.len(), n_threads);
+        Combined { shape, buf }
     }
 
-    /// Reassemble a combined state from its two components (used by
-    /// canonicalisation). The components must agree on thread count and be
-    /// tagged `Client`/`Lib` respectively.
-    pub(crate) fn from_parts(client: CState, lib: CState) -> Combined {
-        debug_assert_eq!(client.comp, Comp::Client);
-        debug_assert_eq!(lib.comp, Comp::Lib);
-        Combined { states: [client, lib] }
-    }
-
-    /// The client component state `γ`.
+    /// The memory words (everything after the control region).
     #[inline]
-    pub fn client(&self) -> &CState {
-        &self.states[0]
+    fn memory(&self) -> &[u32] {
+        &self.buf[self.shape.ctl as usize..]
     }
 
-    /// The library component state `β`.
+    /// The control region: words the memory semantics carries along but
+    /// never reads, compares or hashes. Empty for a state built by
+    /// [`Combined::new`]; `rc11_lang::machine::Config` stores its program
+    /// counters and registers here.
     #[inline]
-    pub fn lib(&self) -> &CState {
-        &self.states[1]
+    pub fn control(&self) -> &[u32] {
+        &self.buf[..self.shape.ctl as usize]
     }
 
-    /// Approximate heap footprint of both component states in bytes (see
-    /// [`CState::approx_bytes`]).
-    pub fn approx_bytes(&self) -> usize {
-        self.states.iter().map(CState::approx_bytes).sum()
+    /// Mutable access to the control region.
+    #[inline]
+    pub fn control_mut(&mut self) -> &mut [u32] {
+        &mut self.buf[..self.shape.ctl as usize]
+    }
+
+    /// Replace the control region with `ctl` (of any length), keeping the
+    /// memory. Copies in place when the length is unchanged.
+    pub fn set_control(&mut self, ctl: &[u32]) {
+        if ctl.len() == self.shape.ctl as usize {
+            self.control_mut().copy_from_slice(ctl);
+        } else {
+            self.buf.splice(..self.shape.ctl as usize, ctl.iter().copied());
+            self.shape.ctl = ctl.len() as u32;
+        }
     }
 
     /// The state of component `c`.
     #[inline]
-    pub fn comp(&self, c: Comp) -> &CState {
-        &self.states[c.idx()]
+    pub fn comp(&self, c: Comp) -> CState<'_> {
+        let d = self.shape.dims(c);
+        let base = self.shape.base(c);
+        CState::new(c, &self.buf[base..base + d.len()], d)
     }
 
-    /// Mutable state of component `c`.
+    /// The client component state `γ`.
     #[inline]
-    pub fn comp_mut(&mut self, c: Comp) -> &mut CState {
-        &mut self.states[c.idx()]
+    pub fn client(&self) -> CState<'_> {
+        self.comp(Comp::Client)
     }
 
-    /// Split-borrow `(executing, context)` for a step in component `c`.
+    /// The library component state `β`.
     #[inline]
-    pub fn exec_ctx_mut(&mut self, c: Comp) -> (&mut CState, &mut CState) {
-        let [client, lib] = &mut self.states;
-        match c {
-            Comp::Client => (client, lib),
-            Comp::Lib => (lib, client),
-        }
+    pub fn lib(&self) -> CState<'_> {
+        self.comp(Comp::Lib)
+    }
+
+    /// Number of threads.
+    #[inline]
+    pub fn n_threads(&self) -> usize {
+        self.shape.threads as usize
+    }
+
+    /// Heap plus inline footprint of this state in bytes — what an
+    /// interned arena pays to hold it: the header plus the buffer
+    /// (control region included). Exact, not an estimate: the buffer is
+    /// the state's only allocation, and interned states are built at
+    /// their exact length. Feeds the exploration engines' memory budget
+    /// (`StopReason::MemBudget` in rc11-check).
+    pub fn approx_bytes(&self) -> usize {
+        std::mem::size_of::<Combined>() + self.buf.len() * std::mem::size_of::<u32>()
     }
 
     /// Check both components' internal invariants (test helper).
     pub fn check_invariants(&self) {
-        self.states[0].check_invariants();
-        self.states[1].check_invariants();
+        assert_eq!(
+            self.buf.len(),
+            self.shape.ctl as usize
+                + self.shape.dims(Comp::Client).len()
+                + self.shape.dims(Comp::Lib).len(),
+            "buffer length out of sync with the header"
+        );
+        self.client().check_invariants();
+        self.lib().check_invariants();
+    }
+
+    // ------------------------------------------------------------------
+    // In-place mutation (the transition rules and object semantics)
+    // ------------------------------------------------------------------
+
+    /// Absolute offset of op `w`'s row in component `c`.
+    #[inline]
+    fn row_at(&self, c: Comp, w: OpId) -> usize {
+        let d = self.shape.dims(c);
+        self.shape.base(c) + d.rows_at() + w.idx() * d.row_len()
+    }
+
+    /// Absolute offset of thread `t`'s view in component `c`.
+    #[inline]
+    fn tview_at(&self, c: Comp, t: Tid) -> usize {
+        self.shape.base(c) + t.idx() * self.shape.locs[c.idx()] as usize
+    }
+
+    /// Append a new operation to component `c` *immediately after* `after`
+    /// in its location's modification order — the fast-engine realisation
+    /// of Figure 5's `fresh(q, q')`. Returns the new id.
+    ///
+    /// The new operation's `mview` is a placeholder; callers install it
+    /// right away with [`Combined::record_mview`].
+    pub fn insert_after(&mut self, c: Comp, after: OpId, rec: OpRecord) -> OpId {
+        let st = self.comp(c);
+        debug_assert_eq!(st.op(after).loc, rec.loc, "predecessor on a different location");
+        let d = st.dims();
+        let (start, end) = st.mo_range(rec.loc);
+        let pos = st.rank_of(after) as usize + 1;
+        let (n, r) = (d.ops, d.row_len());
+        let base = self.shape.base(c);
+        let mo_at = base + d.mo_at();
+        let ins = mo_at + start + pos;
+        let region_end = base + d.len();
+        let old_len = self.buf.len();
+        // Open a one-word gap in `mo` at `ins` and a row-sized gap at the
+        // end of this component's rows, shifting whatever follows.
+        self.buf.resize(old_len + 1 + r, 0);
+        self.buf.copy_within(region_end..old_len, region_end + 1 + r);
+        self.buf.copy_within(ins..region_end, ins + 1);
+        self.buf[ins] = n as u32;
+        let row = region_end + 1;
+        self.buf[row..row + OpRecord::WORDS].copy_from_slice(&rec.encode());
+        self.buf[row + RANK_WORD] = pos as u32;
+        self.buf[row + MVIEW_WORD..row + r].fill(0);
+        for e in &mut self.buf[base + d.mo_end_at() + rec.loc.idx()..mo_at] {
+            *e += 1;
+        }
+        self.shape.ops[c.idx()] += 1;
+        // Later operations on the location move one timestamp up.
+        let rows_at = mo_at + n + 1;
+        for i in ins + 1..mo_at + end + 1 {
+            let w = self.buf[i] as usize;
+            self.buf[rows_at + w * r + RANK_WORD] += 1;
+        }
+        OpId(n as u32)
+    }
+
+    /// Append a new operation with the *maximal* timestamp on its location —
+    /// the Figure-6 discipline for lock operations ("each new lock operation
+    /// must have a larger timestamp than all existing operations").
+    pub fn insert_at_max(&mut self, c: Comp, rec: OpRecord) -> OpId {
+        let last = self.comp(c).max_op(rec.loc);
+        self.insert_after(c, last, rec)
+    }
+
+    /// Mark `w` covered (used by updates and by object semantics such as the
+    /// Figure-6 `Acquire`, which covers the release it observed).
+    #[inline]
+    pub fn cover(&mut self, c: Comp, w: OpId) {
+        let at = self.row_at(c, w) + RANK_WORD;
+        self.buf[at] |= CVD_BIT;
+    }
+
+    /// `tview_t[x := w]` in component `c`.
+    #[inline]
+    pub fn set_tview(&mut self, c: Comp, t: Tid, loc: Loc, w: OpId) {
+        let at = self.tview_at(c, t) + loc.idx();
+        self.buf[at] = w.0;
+    }
+
+    /// `tview_t := tview_t ⊗ V` in component `c`, where `V` is the view at
+    /// absolute offset `src`: per location keep the entry with the larger
+    /// rank — the view-combination operator of Section 3.3,
+    /// `V1 ⊗ V2 = λx. if tst(V2(x)) ≤ tst(V1(x)) then V1(x) else V2(x)`.
+    fn join_tview(&mut self, c: Comp, t: Tid, src: usize) {
+        let d = self.shape.dims(c);
+        let tv = self.tview_at(c, t);
+        let rows = self.shape.base(c) + d.rows_at();
+        let r = d.row_len();
+        let buf = &mut self.buf;
+        for l in 0..d.locs {
+            let (theirs, mine) = (buf[src + l] as usize, buf[tv + l] as usize);
+            let rank = |w: usize| buf[rows + w * r + RANK_WORD] & !CVD_BIT;
+            if rank(theirs) > rank(mine) {
+                buf[tv + l] = theirs as u32;
+            }
+        }
+    }
+
+    /// Synchronise thread `t` with operation `w` of component `c`: its view
+    /// of `c` joins `w`'s own-half `mview` and its view of the other
+    /// component joins the cross half — what an acquiring read of a
+    /// releasing write does, in both components.
+    pub fn sync_from(&mut self, c: Comp, t: Tid, w: OpId) {
+        let row = self.row_at(c, w);
+        let lc = self.shape.locs[c.idx()] as usize;
+        self.join_tview(c, t, row + MVIEW_WORD);
+        self.join_tview(c.other(), t, row + MVIEW_WORD + lc);
+    }
+
+    /// `mview_w := tview_t ∪ ctx.tview_t` — record thread `t`'s current
+    /// views of both components as operation `w`'s modification view.
+    pub fn record_mview(&mut self, c: Comp, w: OpId, t: Tid) {
+        let row = self.row_at(c, w);
+        let lc = self.shape.locs[c.idx()] as usize;
+        let lo = self.shape.locs[c.other().idx()] as usize;
+        let tv = self.tview_at(c, t);
+        self.buf.copy_within(tv..tv + lc, row + MVIEW_WORD);
+        let ctv = self.tview_at(c.other(), t);
+        self.buf.copy_within(ctv..ctv + lo, row + MVIEW_WORD + lc);
     }
 
     // ------------------------------------------------------------------
@@ -115,11 +390,8 @@ impl Combined {
     /// All operations a read of `loc` by `t` in component `c` may read from:
     /// `{ (w, q) ∈ Obs(t, x) }`, with their values.
     pub fn read_choices(&self, c: Comp, t: Tid, loc: Loc) -> Vec<ReadChoice> {
-        self.comp(c)
-            .obs(t, loc)
-            .iter()
-            .map(|&w| ReadChoice { from: w, val: self.comp(c).op(w).act.wrval() })
-            .collect()
+        let st = self.comp(c);
+        st.obs(t, loc).iter().map(|&w| ReadChoice { from: w, val: st.op(w).act.wrval() }).collect()
     }
 
     /// Apply a read (`rd` / `rd^A`) of `loc` by `t` reading from `from`.
@@ -131,17 +403,17 @@ impl Combined {
     #[must_use]
     pub fn apply_read(&self, c: Comp, t: Tid, loc: Loc, acq: bool, from: OpId) -> Combined {
         let mut next = self.clone();
-        let (exec, ctx) = next.exec_ctx_mut(c);
-        let sync = acq && exec.op(from).act.is_releasing();
-        if sync {
-            let mv_own = exec.mview_own(from).clone();
-            let mv_other = exec.mview_other(from).clone();
-            exec.join_tview_with(t, &mv_own);
-            ctx.join_tview_with(t, &mv_other);
-        } else {
-            exec.tview_mut(t).set(loc, from);
-        }
+        next.step_read(c, t, loc, acq, from);
         next
+    }
+
+    /// [`Combined::apply_read`] in place.
+    pub fn step_read(&mut self, c: Comp, t: Tid, loc: Loc, acq: bool, from: OpId) {
+        if acq && self.comp(c).op(from).act.is_releasing() {
+            self.sync_from(c, t, from);
+        } else {
+            self.set_tview(c, t, loc, from);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -168,14 +440,20 @@ impl Combined {
         after: OpId,
     ) -> Combined {
         let mut next = self.clone();
-        let (exec, ctx) = next.exec_ctx_mut(c);
-        debug_assert!(!exec.is_covered(after), "write after a covered op violates atomicity");
-        let new = exec.insert_after(after, OpRecord { loc, tid: t, act: OpAction::Write { v, rel } });
-        exec.tview_mut(t).set(loc, new);
-        let own = exec.tview(t).clone();
-        let other = ctx.tview(t).clone();
-        exec.set_mview(new, own, other);
+        next.step_write(c, t, loc, v, rel, after);
         next
+    }
+
+    /// [`Combined::apply_write`] in place.
+    pub fn step_write(&mut self, c: Comp, t: Tid, loc: Loc, v: Val, rel: bool, after: OpId) {
+        debug_assert!(
+            !self.comp(c).is_covered(after),
+            "write after a covered op violates atomicity"
+        );
+        let rec = OpRecord { loc, tid: t, act: OpAction::Write { v, rel } };
+        let new = self.insert_after(c, after, rec);
+        self.set_tview(c, t, loc, new);
+        self.record_mview(c, new, t);
     }
 
     // ------------------------------------------------------------------
@@ -186,9 +464,9 @@ impl Combined {
     /// optionally filtered to those whose `wrval` equals `expect` (the CAS
     /// success premise `wrval(w) = m`).
     pub fn update_preds(&self, c: Comp, t: Tid, loc: Loc, expect: Option<Val>) -> Vec<OpId> {
-        self.comp(c)
-            .obs_uncovered(t, loc)
-            .filter(|&w| expect.is_none_or(|m| self.comp(c).op(w).act.wrval() == m))
+        let st = self.comp(c);
+        st.obs_uncovered(t, loc)
+            .filter(|&w| expect.is_none_or(|m| st.op(w).act.wrval() == m))
             .collect()
     }
 
@@ -208,24 +486,22 @@ impl Combined {
     #[must_use]
     pub fn apply_update(&self, c: Comp, t: Tid, loc: Loc, v: Val, after: OpId) -> Combined {
         let mut next = self.clone();
-        let (exec, ctx) = next.exec_ctx_mut(c);
-        debug_assert!(!exec.is_covered(after), "update of a covered op violates atomicity");
-        let v_read = exec.op(after).act.wrval();
-        let sync = exec.op(after).act.is_releasing();
-        let new =
-            exec.insert_after(after, OpRecord { loc, tid: t, act: OpAction::Update { v_read, v } });
-        exec.cover(after);
-        exec.tview_mut(t).set(loc, new);
-        if sync {
-            let mv_own = exec.mview_own(after).clone();
-            let mv_other = exec.mview_other(after).clone();
-            exec.join_tview_with(t, &mv_own);
-            ctx.join_tview_with(t, &mv_other);
-        }
-        let own = exec.tview(t).clone();
-        let other = ctx.tview(t).clone();
-        exec.set_mview(new, own, other);
+        next.step_update(c, t, loc, v, after);
         next
+    }
+
+    /// [`Combined::apply_update`] in place.
+    pub fn step_update(&mut self, c: Comp, t: Tid, loc: Loc, v: Val, after: OpId) {
+        let prev = self.comp(c).op(after).act;
+        debug_assert!(!self.comp(c).is_covered(after), "update of a covered op violates atomicity");
+        let act = OpAction::Update { v_read: prev.wrval(), v };
+        let new = self.insert_after(c, after, OpRecord { loc, tid: t, act });
+        self.cover(c, after);
+        self.set_tview(c, t, loc, new);
+        if prev.is_releasing() {
+            self.sync_from(c, t, after);
+        }
+        self.record_mview(c, new, t);
     }
 }
 
@@ -249,6 +525,23 @@ mod tests {
         assert_eq!(s.client().mview_other(OpId(0)).len(), 1);
         assert_eq!(s.lib().mview_other(OpId(0)).len(), 1);
         s.check_invariants();
+    }
+
+    /// The control region rides along untouched and outside equality.
+    #[test]
+    fn control_region_is_opaque_to_memory() {
+        let s = mp_state();
+        let mut c = s.clone();
+        c.set_control(&[7, 8, 9]);
+        assert_eq!(c.control(), &[7, 8, 9]);
+        assert_eq!(c, s, "memory equality ignores the control region");
+        let c = c.apply_write(Comp::Client, T1, D, Val::Int(5), false, OpId(0));
+        assert_eq!(c.control(), &[7, 8, 9]);
+        c.check_invariants();
+        let mut d = c.clone();
+        d.set_control(&[]);
+        assert_eq!(d, c);
+        assert_eq!(d.approx_bytes() + 12, c.approx_bytes());
     }
 
     #[test]

@@ -106,6 +106,7 @@ pub enum LocKind {
 /// (`canon` module) renumbers ids deterministically so that states reached by
 /// different interleavings compare equal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[repr(transparent)]
 pub struct OpId(pub u32);
 
 impl OpId {
@@ -113,6 +114,18 @@ impl OpId {
     #[inline]
     pub fn idx(self) -> usize {
         self.0 as usize
+    }
+
+    /// Read a run of raw `u32` words as operation ids. The flat state
+    /// buffers ([`crate::Combined`]) store ids as bare words; this lets
+    /// views and modification orders hand them out as typed slices
+    /// without copying.
+    #[inline]
+    pub(crate) fn slice_from_words(words: &[u32]) -> &[OpId] {
+        // SAFETY: `OpId` is `#[repr(transparent)]` over `u32`, so `[u32]`
+        // and `[OpId]` have identical size, alignment and validity; the
+        // returned slice borrows `words` for the same lifetime.
+        unsafe { std::slice::from_raw_parts(words.as_ptr().cast::<OpId>(), words.len()) }
     }
 }
 

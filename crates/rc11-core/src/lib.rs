@@ -21,8 +21,8 @@
 //! Abstract *objects* (Section 4) extend the same states: an object is one
 //! more view-tracked location whose history records method operations
 //! ([`action::MethodOp`]). Their transition rules live in `rc11-objects`,
-//! built from the state-manipulation API exposed here ([`state::CState`]'s
-//! `insert_at_max`, `cover`, `join_tview_with`, …).
+//! built from the state-manipulation API exposed here ([`Combined`]'s
+//! `insert_at_max`, `cover`, `sync_from`, `record_mview`, …).
 //!
 //! The [`footprint`] module is the *independence oracle* for partial-order
 //! reduction (ablation A5): a conservative summary of what each transition

@@ -18,7 +18,7 @@ pub struct StatePrinter<'a> {
     pub lib_locs: &'a LocTable,
 }
 
-fn render_component(out: &mut String, st: &CState, locs: &LocTable, title: &str) {
+fn render_component(out: &mut String, st: CState<'_>, locs: &LocTable, title: &str) {
     let _ = writeln!(out, "{title}");
     for loc in locs.iter() {
         let _ = write!(out, "  {:<8}", locs.name(loc));
@@ -47,7 +47,7 @@ impl<'a> StatePrinter<'a> {
     }
 
     /// Render one component's single location (compact, for traces).
-    pub fn render_loc(&self, st: &CState, locs: &LocTable, loc: Loc) -> String {
+    pub fn render_loc(&self, st: CState<'_>, locs: &LocTable, loc: Loc) -> String {
         let mut out = String::new();
         let _ = write!(out, "{}:", locs.name(loc));
         for &w in st.mo(loc) {

@@ -58,6 +58,34 @@ impl Val {
     pub fn truthy(self) -> Option<bool> {
         self.as_bool()
     }
+
+    /// Width of a value in the flat state buffers, in `u32` words.
+    pub const WORDS: usize = 3;
+
+    /// Encode as `[tag, low, high]` words — the representation registers
+    /// and operation payloads take inside [`crate::Combined`]'s buffer.
+    /// Injective, and unused payload words are zero, so equal values have
+    /// equal encodings.
+    #[inline]
+    pub fn to_words(self) -> [u32; Val::WORDS] {
+        match self {
+            Val::Int(n) => [0, n as u32, ((n as u64) >> 32) as u32],
+            Val::Bool(b) => [1, b as u32, 0],
+            Val::Empty => [2, 0, 0],
+            Val::Bot => [3, 0, 0],
+        }
+    }
+
+    /// Decode [`Val::to_words`]' encoding (the first three words of `w`).
+    #[inline]
+    pub fn from_words(w: &[u32]) -> Val {
+        match w[0] {
+            0 => Val::Int((w[1] as u64 | (w[2] as u64) << 32) as i64),
+            1 => Val::Bool(w[1] != 0),
+            2 => Val::Empty,
+            _ => Val::Bot,
+        }
+    }
 }
 
 impl From<i64> for Val {
@@ -88,6 +116,15 @@ impl fmt::Display for Val {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn word_encoding_round_trips() {
+        for v in [Val::Int(0), Val::Int(-1), Val::Int(i64::MIN), Val::Int(i64::MAX),
+                  Val::Bool(true), Val::Bool(false), Val::Empty, Val::Bot] {
+            assert_eq!(Val::from_words(&v.to_words()), v);
+        }
+        assert_ne!(Val::Int(1).to_words(), Val::Bool(true).to_words());
+    }
 
     #[test]
     fn int_round_trip() {

@@ -3,28 +3,26 @@
 //! A *view* maps every location of one component to an operation on that
 //! location (Section 3.3). Views here are total — initialisation writes every
 //! location exactly once, and every rule only ever moves views forward — so a
-//! view is a dense vector with one [`OpId`] per location.
+//! view is a dense run of [`OpId`]s, one per location.
 //!
-//! The join `V1 ⊗ V2` keeps, per location, the later (higher-timestamp)
-//! entry. Timestamps in the fast engine are per-location *ranks*, supplied by
-//! the owning [`crate::state::CState`] via a rank lookup.
+//! Views live inside the flat state buffer of [`crate::Combined`]; a
+//! [`View`] is a borrowed, `Copy` slice of it. The join `V1 ⊗ V2` — per
+//! location keep the later (higher-timestamp) entry — needs the owning
+//! component's ranks and mutates the buffer, so it is implemented by
+//! [`crate::Combined`] (`sync_from`), not here.
 
 use crate::ids::{Loc, OpId};
 
-/// A total viewfront: one operation per location of one component.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct View(Box<[OpId]>);
+/// A total viewfront: one operation per location of one component,
+/// borrowed from a state buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct View<'a>(&'a [OpId]);
 
-impl View {
-    /// A view with every location at `op0` — only used transiently during
-    /// initialisation before real entries are filled in.
-    pub fn filled(n_locs: usize, op0: OpId) -> View {
-        View(vec![op0; n_locs].into_boxed_slice())
-    }
-
-    /// Build a view from per-location entries.
-    pub fn from_entries(entries: Vec<OpId>) -> View {
-        View(entries.into_boxed_slice())
+impl<'a> View<'a> {
+    /// A view over raw buffer words.
+    #[inline]
+    pub(crate) fn new(words: &'a [u32]) -> View<'a> {
+        View(OpId::slice_from_words(words))
     }
 
     /// Number of locations.
@@ -45,38 +43,9 @@ impl View {
         self.0[loc.idx()]
     }
 
-    /// Replace the entry for `loc` — the paper's `view[x := w]`.
-    #[inline]
-    pub fn set(&mut self, loc: Loc, op: OpId) {
-        self.0[loc.idx()] = op;
-    }
-
     /// Iterate `(loc index, entry)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, OpId)> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = (usize, OpId)> + 'a {
         self.0.iter().copied().enumerate()
-    }
-
-    /// `self ⊗ other` in place: per location keep the entry whose timestamp
-    /// (rank) is larger. `rank` must order operations *on the same location*;
-    /// entries at the same location always satisfy this.
-    ///
-    /// This is the view-combination operator of Section 3.3:
-    /// `V1 ⊗ V2 = λx. if tst(V2(x)) ≤ tst(V1(x)) then V1(x) else V2(x)`.
-    #[inline]
-    pub fn join_in_place(&mut self, other: &View, rank: impl Fn(OpId) -> u32) {
-        debug_assert_eq!(self.0.len(), other.0.len(), "views over different components");
-        for (mine, theirs) in self.0.iter_mut().zip(other.0.iter()) {
-            if rank(*theirs) > rank(*mine) {
-                *mine = *theirs;
-            }
-        }
-    }
-
-    /// Remap every entry through an id permutation (canonicalisation).
-    pub fn remap(&mut self, perm: &[OpId]) {
-        for e in self.0.iter_mut() {
-            *e = perm[e.idx()];
-        }
     }
 
     /// Feed the permutation-remapped entries into `h` without materialising
@@ -84,7 +53,7 @@ impl View {
     /// fingerprint (DESIGN.md ablation A4).
     #[inline]
     pub fn hash_remapped<H: std::hash::Hasher>(&self, perm: &[OpId], h: &mut H) {
-        for e in self.0.iter() {
+        for e in self.0 {
             h.write_u32(perm[e.idx()].0);
         }
     }
@@ -93,86 +62,125 @@ impl View {
     /// without materialising the remapped view — the per-view step of
     /// zero-rebuild canonical equality confirmation.
     #[inline]
-    pub fn eq_remapped(&self, perm: &[OpId], other: &View) -> bool {
+    pub fn eq_remapped(&self, perm: &[OpId], other: View<'_>) -> bool {
         self.0.len() == other.0.len()
-            && self.0.iter().zip(other.0.iter()).all(|(e, o)| perm[e.idx()] == *o)
+            && self.0.iter().zip(other.0).all(|(e, o)| perm[e.idx()] == *o)
     }
 
-    /// Raw slice access (read-only), for hashing and debugging.
+    /// The entries as a slice.
     #[inline]
-    pub fn as_slice(&self) -> &[OpId] {
-        &self.0
+    pub fn as_slice(&self) -> &'a [OpId] {
+        self.0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::combined::Combined;
+    use crate::ids::{Comp, Tid};
+    use crate::state::InitLoc;
+    use crate::val::Val;
 
-    #[test]
-    fn get_set_round_trip() {
-        let mut v = View::filled(3, OpId(0));
-        v.set(Loc(1), OpId(5));
-        assert_eq!(v.get(Loc(1)), OpId(5));
-        assert_eq!(v.get(Loc(0)), OpId(0));
+    const X: Loc = Loc(0);
+    const Y: Loc = Loc(1);
+
+    fn two_vars() -> Combined {
+        Combined::new(&[InitLoc::Var(Val::Int(0)), InitLoc::Var(Val::Int(0))], &[], 2)
     }
 
     #[test]
+    fn get_set_round_trip() {
+        let words = [0u32, 5];
+        let v = View::new(&words);
+        assert_eq!(v.get(Loc(1)), OpId(5));
+        assert_eq!(v.get(Loc(0)), OpId(0));
+        assert_eq!(v.len(), 2);
+        assert_eq!(v.iter().collect::<Vec<_>>(), vec![(0, OpId(0)), (1, OpId(5))]);
+        // Views are set through the owning state.
+        let mut s = two_vars().apply_write(Comp::Client, Tid(0), X, Val::Int(1), false, OpId(0));
+        let new = s.client().max_op(X);
+        s.set_tview(Comp::Client, Tid(1), X, new);
+        assert_eq!(s.client().tview(Tid(1)).get(X), new);
+        assert_eq!(s.client().tview(Tid(1)).get(Y), OpId(1));
+    }
+
+    /// Two releasing writes by T0, one per variable, each recording T0's
+    /// views at the time: `(state, first write, second write)`.
+    fn two_releases() -> (Combined, OpId, OpId) {
+        let s = two_vars()
+            .apply_write(Comp::Client, Tid(0), X, Val::Int(1), true, OpId(0))
+            .apply_write(Comp::Client, Tid(0), Y, Val::Int(2), true, OpId(1));
+        let (a, b) = (s.client().max_op(X), s.client().max_op(Y));
+        (s, a, b)
+    }
+
+    /// The join `V1 ⊗ V2` keeps, per location, the later entry.
+    #[test]
     fn join_keeps_later_entries() {
-        // rank = op id itself for this test.
-        let rank = |op: OpId| op.0;
-        let mut a = View::from_entries(vec![OpId(3), OpId(1)]);
-        let b = View::from_entries(vec![OpId(2), OpId(4)]);
-        a.join_in_place(&b, rank);
-        assert_eq!(a.as_slice(), &[OpId(3), OpId(4)]);
+        let (mut s, a, b) = two_releases();
+        // T1 still sees both initial writes; b's view has both new writes.
+        s.sync_from(Comp::Client, Tid(1), b);
+        assert_eq!(s.client().tview(Tid(1)).as_slice(), &[a, b]);
+        // Joining the older view of `a` (which has Y at its init write)
+        // moves nothing back.
+        s.sync_from(Comp::Client, Tid(1), a);
+        assert_eq!(s.client().tview(Tid(1)).as_slice(), &[a, b]);
     }
 
     #[test]
     fn join_is_idempotent_and_commutative_pointwise() {
-        let rank = |op: OpId| op.0;
-        let a = View::from_entries(vec![OpId(3), OpId(1), OpId(7)]);
-        let b = View::from_entries(vec![OpId(2), OpId(4), OpId(7)]);
-        let mut ab = a.clone();
-        ab.join_in_place(&b, rank);
-        let mut ba = b.clone();
-        ba.join_in_place(&a, rank);
-        assert_eq!(ab, ba);
-        let mut aa = a.clone();
-        aa.join_in_place(&a, rank);
-        assert_eq!(aa, a);
+        let (s, a, b) = two_releases();
+        let joined = |order: &[OpId]| {
+            let mut t = s.clone();
+            for &w in order {
+                t.sync_from(Comp::Client, Tid(1), w);
+            }
+            t.client().tview(Tid(1)).as_slice().to_vec()
+        };
+        assert_eq!(joined(&[a, b]), joined(&[b, a]), "commutative");
+        assert_eq!(joined(&[a, a]), joined(&[a]), "idempotent");
+        assert_eq!(joined(&[b, b, a]), joined(&[b, a]), "idempotent");
     }
 
+    /// Canonical renumbering remaps every view entry through the
+    /// permutation.
     #[test]
     fn remap_applies_permutation() {
-        let mut v = View::from_entries(vec![OpId(0), OpId(2)]);
-        let perm = [OpId(1), OpId(0), OpId(2)];
-        v.remap(&perm);
-        assert_eq!(v.as_slice(), &[OpId(1), OpId(2)]);
+        let s = two_vars()
+            .apply_write(Comp::Client, Tid(1), Y, Val::Int(2), false, OpId(1))
+            .apply_write(Comp::Client, Tid(0), X, Val::Int(1), false, OpId(0));
+        let perms = s.canonical_perms();
+        let canon = s.canonical_with(&perms);
+        for t in [Tid(0), Tid(1)] {
+            let remapped: Vec<OpId> =
+                s.client().tview(t).iter().map(|(_, e)| perms.client[e.idx()]).collect();
+            assert_eq!(canon.client().tview(t).as_slice(), remapped.as_slice());
+        }
+        assert_ne!(perms.client, (0..4).map(OpId).collect::<Vec<_>>(), "a real permutation");
     }
 
     /// `hash_remapped` and `eq_remapped` agree with materialised remapping.
     #[test]
     fn remapped_hash_and_eq_match_materialised_remap() {
         use std::hash::Hasher;
-        let v = View::from_entries(vec![OpId(0), OpId(2), OpId(1)]);
+        let words = [0u32, 2, 1];
+        let v = View::new(&words);
         let perm = [OpId(2), OpId(0), OpId(1)];
-        let mut materialised = v.clone();
-        materialised.remap(&perm);
+        let remapped: Vec<u32> = words.iter().map(|&e| perm[e as usize].0).collect();
+        let materialised = View::new(&remapped);
 
-        assert!(v.eq_remapped(&perm, &materialised));
-        assert!(!v.eq_remapped(&perm, &v));
+        assert!(v.eq_remapped(&perm, materialised));
+        assert!(!v.eq_remapped(&perm, v));
 
         // The streamed hash equals hashing the materialised entries the
         // same way (one write_u32 per entry).
-        let hash_entries = |entries: &[OpId]| {
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            for e in entries {
-                h.write_u32(e.0);
-            }
-            h.finish()
-        };
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        v.hash_remapped(&perm, &mut h);
-        assert_eq!(h.finish(), hash_entries(materialised.as_slice()));
+        let mut h1 = std::collections::hash_map::DefaultHasher::new();
+        for e in &remapped {
+            h1.write_u32(*e);
+        }
+        let mut h2 = std::collections::hash_map::DefaultHasher::new();
+        v.hash_remapped(&perm, &mut h2);
+        assert_eq!(h1.finish(), h2.finish());
     }
 }

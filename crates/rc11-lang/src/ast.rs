@@ -114,14 +114,20 @@ impl std::error::Error for EvalError {}
 impl Exp {
     /// Evaluate under a register valuation — `⟦E⟧ls` in the paper.
     pub fn eval(&self, ls: &[Val]) -> Result<Val, EvalError> {
+        self.eval_with(&|i| ls.get(i).copied())
+    }
+
+    /// [`Exp::eval`] with registers read through `reg` (`None` = out of
+    /// range) — for register files that are not a `[Val]` slice, such as
+    /// the encoded ones inside a `machine::Config` buffer.
+    pub fn eval_with<F: Fn(usize) -> Option<Val>>(&self, reg: &F) -> Result<Val, EvalError> {
         match self {
             Exp::Val(v) => Ok(*v),
-            Exp::Reg(r) => ls
-                .get(r.idx())
-                .copied()
-                .ok_or_else(|| EvalError(format!("register {r} out of range"))),
+            Exp::Reg(r) => {
+                reg(r.idx()).ok_or_else(|| EvalError(format!("register {r} out of range")))
+            }
             Exp::Un(op, e) => {
-                let v = e.eval(ls)?;
+                let v = e.eval_with(reg)?;
                 match op {
                     UnOp::Not => v
                         .as_bool()
@@ -138,8 +144,8 @@ impl Exp {
                 }
             }
             Exp::Bin(op, a, b) => {
-                let va = a.eval(ls)?;
-                let vb = b.eval(ls)?;
+                let va = a.eval_with(reg)?;
+                let vb = b.eval_with(reg)?;
                 let int = |v: Val, what: &str| {
                     v.as_int().ok_or_else(|| EvalError(format!("{what} applied to {v}")))
                 };

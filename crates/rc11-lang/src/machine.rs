@@ -77,50 +77,201 @@ impl SymMaps {
     }
 }
 
-/// A machine configuration: per-thread pcs, per-thread register files and
-/// the combined memory state.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// A machine configuration: per-thread pcs, per-thread register files
+/// (`ρ`) and the combined memory state — all in **one buffer**.
+///
+/// The pcs and registers live in the control region at the front of the
+/// memory state's flat buffer ([`rc11_core::Combined::control`]):
+///
+/// ```text
+/// reg_end  T words   cumulative register counts (thread t's registers
+///                    are [reg_end[t-1], reg_end[t]))
+/// pcs      T words
+/// regs     3 words per register (rc11_core::Val::to_words)
+/// ```
+///
+/// so cloning a configuration is one allocation plus a `memcpy`, and
+/// [`Clone::clone_from`] into a reused scratch configuration allocates
+/// nothing — the basis of [`for_each_thread_successor`].
 pub struct Config {
-    /// Per-thread program counters.
-    pub pcs: Vec<u32>,
-    /// Per-thread register files (`ρ`).
-    pub locals: Vec<Vec<Val>>,
-    /// The combined client–library memory state.
-    pub mem: Combined,
+    mem: Combined,
+}
+
+impl Clone for Config {
+    fn clone(&self) -> Config {
+        Config { mem: self.mem.clone() }
+    }
+
+    fn clone_from(&mut self, source: &Config) {
+        self.mem.clone_from(&source.mem);
+    }
+}
+
+impl PartialEq for Config {
+    fn eq(&self, other: &Config) -> bool {
+        self.mem.control() == other.mem.control() && self.mem == other.mem
+    }
+}
+
+impl Eq for Config {}
+
+/// A fixed total order consistent with equality (control words, then
+/// memory; see `Combined`'s `Ord`).
+impl Ord for Config {
+    fn cmp(&self, other: &Config) -> std::cmp::Ordering {
+        (self.mem.control(), &self.mem).cmp(&(other.mem.control(), &other.mem))
+    }
+}
+
+impl PartialOrd for Config {
+    fn partial_cmp(&self, other: &Config) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl std::hash::Hash for Config {
+    fn hash<H: std::hash::Hasher>(&self, h: &mut H) {
+        self.mem.control().hash(h);
+        self.mem.hash(h);
+    }
+}
+
+impl std::fmt::Debug for Config {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Config")
+            .field("pcs", &self.pcs())
+            .field("locals", &self.locals())
+            .field("mem", &self.mem)
+            .finish()
+    }
+}
+
+/// The control-region words for `pcs` and register files `locals`.
+fn control_words(pcs: &[u32], locals: &[Vec<Val>]) -> Vec<u32> {
+    let mut ctl = Vec::new();
+    let mut end = 0u32;
+    for file in locals {
+        end += file.len() as u32;
+        ctl.push(end);
+    }
+    ctl.extend_from_slice(pcs);
+    for v in locals.iter().flatten() {
+        ctl.extend(v.to_words());
+    }
+    ctl
 }
 
 impl Config {
     /// The initial configuration of a compiled program.
     pub fn initial(prog: &CfgProgram) -> Config {
         let src = &prog.source;
-        Config {
-            pcs: vec![0; prog.n_threads()],
-            locals: src.initial_locals(),
-            mem: Combined::new(&src.client_inits, &src.lib_inits, prog.n_threads()),
-        }
+        Config::from_parts(
+            &vec![0; prog.n_threads()],
+            &src.initial_locals(),
+            Combined::new(&src.client_inits, &src.lib_inits, prog.n_threads()),
+        )
     }
 
-    /// Approximate heap footprint of this configuration in bytes — what an
-    /// interned state arena pays to hold it. Feeds the exploration
-    /// engines' approximate memory budget (`Budget::max_mem_bytes` /
+    /// Assemble a configuration from pcs, register files and a memory
+    /// state (whose own control region, if any, is replaced).
+    pub fn from_parts(pcs: &[u32], locals: &[Vec<Val>], mut mem: Combined) -> Config {
+        assert_eq!(pcs.len(), locals.len(), "one pc and one register file per thread");
+        assert_eq!(pcs.len(), mem.n_threads(), "memory state for a different thread count");
+        mem.set_control(&control_words(pcs, locals));
+        Config { mem }
+    }
+
+    /// This configuration's pcs and registers over memory `mem`.
+    #[must_use]
+    pub fn with_mem(&self, mut mem: Combined) -> Config {
+        mem.set_control(self.mem.control());
+        Config { mem }
+    }
+
+    /// The combined client–library memory state.
+    #[inline]
+    pub fn mem(&self) -> &Combined {
+        &self.mem
+    }
+
+    /// Number of threads.
+    #[inline]
+    pub fn n_threads(&self) -> usize {
+        self.mem.n_threads()
+    }
+
+    /// Per-thread program counters.
+    #[inline]
+    pub fn pcs(&self) -> &[u32] {
+        let n = self.n_threads();
+        &self.mem.control()[n..2 * n]
+    }
+
+    /// Set thread `t`'s program counter.
+    #[inline]
+    fn set_pc(&mut self, t: usize, pc: u32) {
+        let n = self.n_threads();
+        self.mem.control_mut()[n + t] = pc;
+    }
+
+    /// The control-region word range of thread `t`'s register file.
+    #[inline]
+    fn reg_words(&self, t: usize) -> std::ops::Range<usize> {
+        let n = self.n_threads();
+        let ctl = self.mem.control();
+        let start = if t == 0 { 0 } else { ctl[t - 1] as usize };
+        2 * n + Val::WORDS * start..2 * n + Val::WORDS * ctl[t] as usize
+    }
+
+    /// Register `i` of thread `t`, or `None` past the end of its file.
+    #[inline]
+    fn reg_checked(&self, t: usize, i: usize) -> Option<Val> {
+        let words = &self.mem.control()[self.reg_words(t)];
+        words.get(Val::WORDS * i..Val::WORDS * (i + 1)).map(Val::from_words)
+    }
+
+    /// Register value of thread `t`.
+    pub fn reg(&self, t: usize, r: Reg) -> Val {
+        self.reg_checked(t, r.idx()).expect("register in range")
+    }
+
+    /// Set register `r` of thread `t`.
+    #[inline]
+    fn set_reg(&mut self, t: usize, r: Reg, v: Val) {
+        let at = self.reg_words(t).start + Val::WORDS * r.idx();
+        self.mem.control_mut()[at..at + Val::WORDS].copy_from_slice(&v.to_words());
+    }
+
+    /// Thread `t`'s register file, decoded.
+    pub fn regs(&self, t: usize) -> Vec<Val> {
+        self.mem.control()[self.reg_words(t)].chunks(Val::WORDS).map(Val::from_words).collect()
+    }
+
+    /// Every thread's register file (`ρ`), decoded.
+    pub fn locals(&self) -> Vec<Vec<Val>> {
+        (0..self.n_threads()).map(|t| self.regs(t)).collect()
+    }
+
+    /// Evaluate `e` under thread `t`'s registers.
+    #[inline]
+    fn eval(&self, t: usize, e: &crate::ast::Exp) -> Val {
+        e.eval_with(&|i| self.reg_checked(t, i)).expect("well-typed program")
+    }
+
+    /// Footprint of this configuration in bytes — what an interned state
+    /// arena pays to hold it: the header plus the single buffer. Exact
+    /// (see [`rc11_core::Combined::approx_bytes`]); feeds the exploration
+    /// engines' memory budget (`Budget::max_mem_bytes` /
     /// `StopReason::MemBudget` in rc11-check).
     pub fn approx_bytes(&self) -> usize {
-        use std::mem::size_of;
-        size_of::<Config>()
-            + self.pcs.len() * size_of::<u32>()
-            + self
-                .locals
-                .iter()
-                .map(|l| size_of::<Vec<rc11_core::Val>>() + l.len() * size_of::<rc11_core::Val>())
-                .sum::<usize>()
-            + self.mem.approx_bytes()
+        self.mem.approx_bytes()
     }
 
     /// Canonical form for visited-state deduplication: memory canonicalised,
     /// pcs/locals as-is (they are already canonical).
     #[must_use]
     pub fn canonical(&self) -> Config {
-        Config { pcs: self.pcs.clone(), locals: self.locals.clone(), mem: self.mem.canonical() }
+        Config { mem: self.mem.canonical() }
     }
 
     /// The memory state's canonical permutations
@@ -132,16 +283,17 @@ impl Config {
         self.mem.canonical_perms()
     }
 
+    /// [`Config::canonical_perms`] into a reused buffer.
+    pub fn canonical_perms_into(&self, perms: &mut rc11_core::CanonPerms) {
+        self.mem.canonical_perms_into(perms);
+    }
+
     /// [`Config::canonical`] with precomputed permutations, so a caller
     /// that already fingerprinted this configuration materialises the
     /// canonical form without recomputing them.
     #[must_use]
     pub fn canonical_with(&self, perms: &rc11_core::CanonPerms) -> Config {
-        Config {
-            pcs: self.pcs.clone(),
-            locals: self.locals.clone(),
-            mem: self.mem.canonical_with(perms),
-        }
+        Config { mem: self.mem.canonical_with(perms) }
     }
 
     /// Stream this configuration's canonical serialisation into `h`
@@ -153,9 +305,7 @@ impl Config {
         perms: &rc11_core::CanonPerms,
         h: &mut H,
     ) {
-        use std::hash::Hash;
-        self.pcs.hash(h);
-        self.locals.hash(h);
+        hash_control(self.mem.control(), h);
         self.mem.hash_canonical_with(perms, h);
     }
 
@@ -170,9 +320,7 @@ impl Config {
     /// collision-bucket confirmation step of fingerprint deduplication.
     #[must_use]
     pub fn canonical_eq_with(&self, perms: &rc11_core::CanonPerms, canon: &Config) -> bool {
-        self.pcs == canon.pcs
-            && self.locals == canon.locals
-            && self.mem.canonical_eq_with(perms, &canon.mem)
+        self.mem.control() == canon.mem.control() && self.mem.canonical_eq_with(perms, &canon.mem)
     }
 
     /// [`Config::canonical_eq_with`], computing the permutations
@@ -182,27 +330,26 @@ impl Config {
         self.canonical_eq_with(&self.canonical_perms(), canon)
     }
 
-    /// The thread-permuted control state `(pcs, locals)` under
+    /// The control words of the thread-permuted configuration under
     /// `sigma[old] = new`: slot `sigma[t]` receives thread `t`'s pc and its
     /// register file re-expressed in the destination slot's numbering via
     /// `maps` (`file'[k] = file_t[from_rep_t[to_rep_dest[k]]]`). Only
     /// meaningful when `sigma` permutes threads within symmetry groups
     /// (equal instruction streams modulo the register renaming), which is
     /// what `rc11-analyze` detects.
-    fn permuted_control(&self, sigma: &[u8], maps: &SymMaps) -> (Vec<u32>, Vec<Vec<Val>>) {
-        let n = self.pcs.len();
-        let mut pcs = vec![0u32; n];
-        let mut locals: Vec<Vec<Val>> = vec![Vec::new(); n];
-        for t in 0..n {
-            let dest = sigma[t] as usize;
-            pcs[dest] = self.pcs[t];
-            let file = &self.locals[t];
-            locals[dest] = maps.to_rep[dest]
-                .iter()
-                .map(|&rep| file[maps.from_rep[t][rep as usize] as usize])
-                .collect();
+    fn permuted_control(&self, sigma: &[u8], maps: &SymMaps) -> Vec<u32> {
+        let n = self.n_threads();
+        let mut ctl = self.mem.control().to_vec();
+        for (t, &dest) in sigma.iter().enumerate() {
+            let dest = dest as usize;
+            ctl[n + dest] = self.pcs()[t];
+            let at = self.reg_words(dest).start;
+            for (k, &rep) in maps.to_rep[dest].iter().enumerate() {
+                let v = self.reg(t, Reg(maps.from_rep[t][rep as usize]));
+                ctl[at + Val::WORDS * k..at + Val::WORDS * (k + 1)].copy_from_slice(&v.to_words());
+            }
         }
-        (pcs, locals)
+        ctl
     }
 
     /// Rebuild this configuration with threads permuted by
@@ -212,13 +359,14 @@ impl Config {
     /// the same future behaviour up to the same permutation.
     #[must_use]
     pub fn permute_threads(&self, sigma: &[u8], maps: &SymMaps) -> Config {
-        let (pcs, locals) = self.permuted_control(sigma, maps);
-        Config { pcs, locals, mem: self.mem.permute_threads(sigma) }
+        let mut mem = self.mem.permute_threads(sigma);
+        mem.set_control(&self.permuted_control(sigma, maps));
+        Config { mem }
     }
 
     /// [`Config::hash_canonical_with`] honouring the thread permutation in
     /// `perms.threads`: streams the canonical serialisation of the
-    /// thread-permuted configuration. Feeds byte-identical input to `h` as
+    /// thread-permuted configuration. Feeds identical input to `h` as
     /// the plain walk over `self.permute_threads(σ).canonical()` would, so
     /// sym-fingerprints and plain fingerprints of materialised sym-canonical
     /// forms coincide. Falls back to the plain walk when `perms.threads` is
@@ -229,12 +377,9 @@ impl Config {
         maps: &SymMaps,
         h: &mut H,
     ) {
-        use std::hash::Hash;
         match &perms.threads {
             Some(sigma) => {
-                let (pcs, locals) = self.permuted_control(sigma, maps);
-                pcs.hash(h);
-                locals.hash(h);
+                hash_control(&self.permuted_control(sigma, maps), h);
                 self.mem.hash_canonical_with(perms, h);
             }
             None => self.hash_canonical_with(perms, h),
@@ -252,9 +397,7 @@ impl Config {
     ) -> bool {
         match &perms.threads {
             Some(sigma) => {
-                let (pcs, locals) = self.permuted_control(sigma, maps);
-                pcs == canon.pcs
-                    && locals == canon.locals
+                self.permuted_control(sigma, maps) == canon.mem.control()
                     && self.mem.canonical_eq_with(perms, &canon.mem)
             }
             None => self.canonical_eq_with(perms, canon),
@@ -267,8 +410,9 @@ impl Config {
     pub fn canonical_sym(&self, perms: &rc11_core::CanonPerms, maps: &SymMaps) -> Config {
         match &perms.threads {
             Some(sigma) => {
-                let (pcs, locals) = self.permuted_control(sigma, maps);
-                Config { pcs, locals, mem: self.mem.canonical_with(perms) }
+                let mut mem = self.mem.canonical_with(perms);
+                mem.set_control(&self.permuted_control(sigma, maps));
+                Config { mem }
             }
             None => self.canonical_with(perms),
         }
@@ -276,15 +420,18 @@ impl Config {
 
     /// True iff every thread is at `Halt`.
     pub fn terminated(&self, prog: &CfgProgram) -> bool {
-        self.pcs
+        self.pcs()
             .iter()
             .enumerate()
             .all(|(t, &pc)| matches!(prog.threads[t].instrs[pc as usize], Instr::Halt))
     }
+}
 
-    /// Register value of thread `t`.
-    pub fn reg(&self, t: usize, r: Reg) -> Val {
-        self.locals[t][r.idx()]
+/// Feed control words into a canonical-walk hasher.
+fn hash_control<H: std::hash::Hasher>(ctl: &[u32], h: &mut H) {
+    h.write_usize(ctl.len());
+    for &w in ctl {
+        h.write_u32(w);
     }
 }
 
@@ -305,33 +452,40 @@ impl Default for StepOptions {
     }
 }
 
+/// Execute one local instruction (assignment or jump) of thread `t` in
+/// place. Returns false, changing nothing, at a shared instruction or
+/// `Halt`.
+fn local_step(prog: &CfgProgram, cfg: &mut Config, t: usize) -> bool {
+    let pc = cfg.pcs()[t];
+    match &prog.threads[t].instrs[pc as usize] {
+        Instr::Assign(r, e) => {
+            let v = cfg.eval(t, e);
+            cfg.set_reg(t, *r, v);
+            cfg.set_pc(t, pc + 1);
+        }
+        Instr::Jmp(target) => cfg.set_pc(t, *target),
+        Instr::JmpUnless { cond, target } => {
+            let b = cfg.eval(t, cond).truthy().expect("boolean guard");
+            cfg.set_pc(t, if b { pc + 1 } else { *target });
+        }
+        _ => return false,
+    }
+    true
+}
+
 /// Execute local instructions of thread `t` starting at its current pc until
 /// a fusion barrier: a shared instruction, `Halt`, or a labelled pc (after
 /// at least one instruction has executed). Mutates `cfg` in place.
 fn run_local_chain(prog: &CfgProgram, cfg: &mut Config, t: usize, mut budget: u32) {
     let th = &prog.threads[t];
     loop {
-        let pc = cfg.pcs[t];
-        let instr = &th.instrs[pc as usize];
-        match instr {
-            Instr::Assign(r, e) => {
-                let v = e.eval(&cfg.locals[t]).expect("well-typed program");
-                cfg.locals[t][r.idx()] = v;
-                cfg.pcs[t] = pc + 1;
-            }
-            Instr::Jmp(target) => cfg.pcs[t] = *target,
-            Instr::JmpUnless { cond, target } => {
-                let b = cond
-                    .eval(&cfg.locals[t])
-                    .expect("well-typed program")
-                    .truthy()
-                    .expect("boolean guard");
-                cfg.pcs[t] = if b { pc + 1 } else { *target };
-            }
-            _ => return, // shared instruction or Halt: barrier
+        let pc = cfg.pcs()[t];
+        if !local_step(prog, cfg, t) {
+            return; // shared instruction or Halt: barrier
         }
         // Barrier at labelled pcs so proof-outline points are never skipped.
-        if th.label_at(cfg.pcs[t]).is_some() && th.label_at(pc) != th.label_at(cfg.pcs[t]) {
+        let next = cfg.pcs()[t];
+        if th.label_at(next).is_some() && th.label_at(pc) != th.label_at(next) {
             return;
         }
         budget -= 1;
@@ -351,7 +505,7 @@ fn run_local_chain(prog: &CfgProgram, cfg: &mut Config, t: usize, mut budget: u3
 /// next shared access) touches nothing shared and reports a local
 /// footprint, as does a halted thread. The shared access an instruction
 /// performs is static — its location and component are fixed in the
-/// instruction — so the footprint depends only on `cfg.pcs[t]` **except**
+/// instruction — so the footprint depends only on `cfg.pcs()[t]` **except**
 /// for two state-dependent refinements. First, a `Cas` none of whose
 /// uncovered observable predecessors carries the expected value can only
 /// *fail*, i.e. only relaxed-read, and is footprinted as a read. Second,
@@ -375,7 +529,13 @@ fn run_local_chain(prog: &CfgProgram, cfg: &mut Config, t: usize, mut budget: u3
 /// still race on `mo`); the identities feed A7's DPOR trace battery.
 pub fn thread_footprint(prog: &CfgProgram, cfg: &Config, t: usize) -> StepFootprint {
     let tid = Tid(t as u8);
-    match &prog.threads[t].instrs[cfg.pcs[t] as usize] {
+    let mem = cfg.mem();
+    // The first predecessor, and whether it is the only one.
+    fn single(mut preds: impl Iterator<Item = rc11_core::OpId>) -> (bool, Option<rc11_core::OpId>) {
+        let first = preds.next();
+        (first.is_some(), first.filter(|_| preds.next().is_none()))
+    }
+    match &prog.threads[t].instrs[cfg.pcs()[t] as usize] {
         Instr::Halt | Instr::Assign(..) | Instr::Jmp(_) | Instr::JmpUnless { .. } => {
             StepFootprint::local(tid)
         }
@@ -386,9 +546,12 @@ pub fn thread_footprint(prog: &CfgProgram, cfg: &Config, t: usize) -> StepFootpr
             StepFootprint::access(tid, var.comp, var.loc, AccessKind::Read { acq: *acq })
         }
         Instr::Cas { var, expect, .. } => {
-            let u = expect.eval(&cfg.locals[t]).expect("well-typed program");
-            let preds = cfg.mem.update_preds(var.comp, tid, var.loc, Some(u));
-            let kind = if !preds.is_empty() {
+            let u = cfg.eval(t, expect);
+            let st = mem.comp(var.comp);
+            let (any, only) = single(
+                st.obs_uncovered(tid, var.loc).filter(|&w| st.op(w).act.wrval() == u),
+            );
+            let kind = if any {
                 AccessKind::Update
             } else {
                 // A spinning CAS that can only fail is a relaxed read
@@ -399,13 +562,11 @@ pub fn thread_footprint(prog: &CfgProgram, cfg: &Config, t: usize) -> StepFootpr
             };
             // With exactly one matching uncovered predecessor, the success
             // branch's cover is already determined by this state.
-            let covers = (preds.len() == 1).then(|| preds[0]);
-            StepFootprint::access_covering(tid, var.comp, var.loc, kind, covers)
+            StepFootprint::access_covering(tid, var.comp, var.loc, kind, only)
         }
         Instr::Fai { var, .. } => {
-            let preds = cfg.mem.update_preds(var.comp, tid, var.loc, None);
-            let covers = (preds.len() == 1).then(|| preds[0]);
-            StepFootprint::access_covering(tid, var.comp, var.loc, AccessKind::Update, covers)
+            let (_, only) = single(mem.comp(var.comp).obs_uncovered(tid, var.loc));
+            StepFootprint::access_covering(tid, var.comp, var.loc, AccessKind::Update, only)
         }
         Instr::Method { obj, method, sync, .. } => {
             // State-dependent refinements mirroring the CAS one above: an
@@ -422,7 +583,7 @@ pub fn thread_footprint(prog: &CfgProgram, cfg: &Config, t: usize) -> StepFootpr
             // write on this location — a conflict with the read footprint.
             let removal_target = |is_match: fn(&rc11_core::MethodOp) -> bool,
                                   newest_first: bool| {
-                let lib = cfg.mem.lib();
+                let lib = mem.lib();
                 let mut uncovered = lib
                     .mo(obj.loc)
                     .iter()
@@ -461,110 +622,104 @@ pub fn thread_footprint(prog: &CfgProgram, cfg: &Config, t: usize) -> StepFootpr
     }
 }
 
-/// All successor configurations of `cfg` by a step of thread `t`, or `None`
-/// entries filtered out. An empty result means `t` is blocked or halted.
-pub fn thread_successors(
+/// Visit every successor configuration of `cfg` by a step of thread `t`,
+/// in a fixed order (the order [`thread_successors`] returns them in —
+/// checkpoint replay and trace reconstruction index into it). Each
+/// successor is built in `scratch` — overwritten via
+/// [`Clone::clone_from`], so a scratch configuration reused across calls
+/// allocates nothing once its buffer has grown — and handed to `visit`
+/// there. Returns the number of successors; zero means `t` is blocked or
+/// halted.
+///
+/// This is the exploration engines' hot path: they fingerprint and
+/// confirm each successor in the scratch buffer and copy out only the
+/// novel ones, so duplicate successors cost no allocation at all.
+pub fn for_each_thread_successor(
     prog: &CfgProgram,
     objs: &dyn ObjectSemantics,
     cfg: &Config,
     t: usize,
     opts: StepOptions,
-) -> Vec<Config> {
-    let th = &prog.threads[t];
+    scratch: &mut Config,
+    mut visit: impl FnMut(&Config),
+) -> usize {
     let tid = Tid(t as u8);
-    let pc = cfg.pcs[t];
-    let instr = &th.instrs[pc as usize];
-    let ls = &cfg.locals[t];
-
-    let finish = |mut c: Config| -> Config {
-        if opts.fuse_local {
-            run_local_chain(prog, &mut c, t, 100_000);
+    let pc = cfg.pcs()[t];
+    let mut n = 0;
+    // Finish a shared step in `scratch`: write its result register (if
+    // any), advance the pc, run the fused local chain, visit.
+    let mut emit = |scratch: &mut Config, ret: Option<(Reg, Val)>| {
+        if let Some((r, v)) = ret {
+            scratch.set_reg(t, r, v);
         }
-        c
+        scratch.set_pc(t, pc + 1);
+        if opts.fuse_local {
+            run_local_chain(prog, scratch, t, 100_000);
+        }
+        visit(scratch);
+        n += 1;
     };
-
-    let mut out = Vec::new();
-    match instr {
+    match &prog.threads[t].instrs[pc as usize] {
         Instr::Halt => {}
         // A leading local instruction: one deterministic (fused) step.
         Instr::Assign(..) | Instr::Jmp(_) | Instr::JmpUnless { .. } => {
-            let mut c = cfg.clone();
+            scratch.clone_from(cfg);
             if opts.fuse_local {
-                run_local_chain(prog, &mut c, t, 100_000);
+                run_local_chain(prog, scratch, t, 100_000);
             } else {
-                // Single local step.
-                let th = &prog.threads[t];
-                let pc = c.pcs[t];
-                match &th.instrs[pc as usize] {
-                    Instr::Assign(r, e) => {
-                        let v = e.eval(&c.locals[t]).expect("well-typed program");
-                        c.locals[t][r.idx()] = v;
-                        c.pcs[t] = pc + 1;
-                    }
-                    Instr::Jmp(target) => c.pcs[t] = *target,
-                    Instr::JmpUnless { cond, target } => {
-                        let b = cond
-                            .eval(&c.locals[t])
-                            .expect("well-typed program")
-                            .truthy()
-                            .expect("boolean guard");
-                        c.pcs[t] = if b { pc + 1 } else { *target };
-                    }
-                    _ => unreachable!(),
-                }
+                local_step(prog, scratch, t);
             }
-            out.push(c);
+            visit(scratch);
+            n += 1;
         }
         Instr::Write { var, exp, rel } => {
-            let v = exp.eval(ls).expect("well-typed program");
-            for w in cfg.mem.write_preds(var.comp, tid, var.loc) {
-                let mem = cfg.mem.apply_write(var.comp, tid, var.loc, v, *rel, w);
-                let mut c = Config { pcs: cfg.pcs.clone(), locals: cfg.locals.clone(), mem };
-                c.pcs[t] = pc + 1;
-                out.push(finish(c));
+            let v = cfg.eval(t, exp);
+            for w in cfg.mem().comp(var.comp).obs_uncovered(tid, var.loc) {
+                scratch.clone_from(cfg);
+                scratch.mem.step_write(var.comp, tid, var.loc, v, *rel, w);
+                emit(scratch, None);
             }
         }
         Instr::Read { reg, var, acq } => {
-            for choice in cfg.mem.read_choices(var.comp, tid, var.loc) {
-                let mem = cfg.mem.apply_read(var.comp, tid, var.loc, *acq, choice.from);
-                let mut c = Config { pcs: cfg.pcs.clone(), locals: cfg.locals.clone(), mem };
-                c.locals[t][reg.idx()] = choice.val;
-                c.pcs[t] = pc + 1;
-                out.push(finish(c));
+            let st = cfg.mem().comp(var.comp);
+            for &from in st.obs(tid, var.loc) {
+                let val = st.op(from).act.wrval();
+                scratch.clone_from(cfg);
+                scratch.mem.step_read(var.comp, tid, var.loc, *acq, from);
+                emit(scratch, Some((*reg, val)));
             }
         }
         Instr::Cas { reg, var, expect, new } => {
-            let u = expect.eval(ls).expect("well-typed program");
-            let v = new.eval(ls).expect("well-typed program");
+            let u = cfg.eval(t, expect);
+            let v = cfg.eval(t, new);
+            let st = cfg.mem().comp(var.comp);
             // Failure: a plain relaxed read of any value ≠ u (Figure 4).
-            for choice in cfg.mem.read_choices(var.comp, tid, var.loc) {
-                if choice.val == u {
+            for &from in st.obs(tid, var.loc) {
+                if st.op(from).act.wrval() == u {
                     continue;
                 }
-                let mem = cfg.mem.apply_read(var.comp, tid, var.loc, false, choice.from);
-                let mut c = Config { pcs: cfg.pcs.clone(), locals: cfg.locals.clone(), mem };
-                c.locals[t][reg.idx()] = Val::Bool(false);
-                c.pcs[t] = pc + 1;
-                out.push(finish(c));
+                scratch.clone_from(cfg);
+                scratch.mem.step_read(var.comp, tid, var.loc, false, from);
+                emit(scratch, Some((*reg, Val::Bool(false))));
             }
             // Success: an RA update of an uncovered observable op with value u.
-            for w in cfg.mem.update_preds(var.comp, tid, var.loc, Some(u)) {
-                let mem = cfg.mem.apply_update(var.comp, tid, var.loc, v, w);
-                let mut c = Config { pcs: cfg.pcs.clone(), locals: cfg.locals.clone(), mem };
-                c.locals[t][reg.idx()] = Val::Bool(true);
-                c.pcs[t] = pc + 1;
-                out.push(finish(c));
+            for w in st.obs_uncovered(tid, var.loc) {
+                if st.op(w).act.wrval() != u {
+                    continue;
+                }
+                scratch.clone_from(cfg);
+                scratch.mem.step_update(var.comp, tid, var.loc, v, w);
+                emit(scratch, Some((*reg, Val::Bool(true))));
             }
         }
         Instr::Fai { reg, var } => {
-            for w in cfg.mem.update_preds(var.comp, tid, var.loc, None) {
-                let old = cfg.mem.wrval_of(var.comp, w);
+            let st = cfg.mem().comp(var.comp);
+            for w in st.obs_uncovered(tid, var.loc) {
+                let old = st.op(w).act.wrval();
                 let old_n = old.as_int().expect("FAI over integer variable");
-                let mem = cfg.mem.apply_update(var.comp, tid, var.loc, Val::Int(old_n + 1), w);
-                let mut c = Config { pcs: cfg.pcs.clone(), locals: cfg.locals.clone(), mem };
-                c.locals[t][reg.idx()] = old;
-                c.pcs[t] = pc + 1;
-                out.push(finish(c));
+                scratch.clone_from(cfg);
+                scratch.mem.step_update(var.comp, tid, var.loc, Val::Int(old_n + 1), w);
+                emit(scratch, Some((*reg, old)));
             }
         }
         Instr::Method { reg, obj, method, arg, sync } => {
@@ -572,18 +727,32 @@ pub fn thread_successors(
                 .source
                 .obj_kind(obj.loc)
                 .expect("method call on a location without an object kind");
-            let argv = arg.as_ref().map(|e| e.eval(ls).expect("well-typed program"));
-            for (ret, mem) in objs.method_steps(&cfg.mem, tid, obj.loc, kind, *method, argv, *sync)
+            let argv = arg.as_ref().map(|e| cfg.eval(t, e));
+            // Object semantics return whole memory states, each a clone of
+            // `cfg.mem()` — control region (pcs, registers) included.
+            for (ret, mem) in objs.method_steps(cfg.mem(), tid, obj.loc, kind, *method, argv, *sync)
             {
-                let mut c = Config { pcs: cfg.pcs.clone(), locals: cfg.locals.clone(), mem };
-                if let Some(r) = reg {
-                    c.locals[t][r.idx()] = ret;
-                }
-                c.pcs[t] = pc + 1;
-                out.push(finish(c));
+                scratch.mem.clone_from(&mem);
+                emit(scratch, reg.map(|r| (r, ret)));
             }
         }
     }
+    n
+}
+
+/// All successor configurations of `cfg` by a step of thread `t`. An
+/// empty result means `t` is blocked or halted. The allocating form of
+/// [`for_each_thread_successor`]: one allocation per successor.
+pub fn thread_successors(
+    prog: &CfgProgram,
+    objs: &dyn ObjectSemantics,
+    cfg: &Config,
+    t: usize,
+    opts: StepOptions,
+) -> Vec<Config> {
+    let mut out = Vec::new();
+    let mut scratch = cfg.clone();
+    for_each_thread_successor(prog, objs, cfg, t, opts, &mut scratch, |c| out.push(c.clone()));
     out
 }
 
@@ -596,10 +765,11 @@ pub fn successors(
     opts: StepOptions,
 ) -> Vec<(Tid, Config)> {
     let mut out = Vec::new();
+    let mut scratch = cfg.clone();
     for t in 0..prog.n_threads() {
-        for c in thread_successors(prog, objs, cfg, t, opts) {
-            out.push((Tid(t as u8), c));
-        }
+        for_each_thread_successor(prog, objs, cfg, t, opts, &mut scratch, |c| {
+            out.push((Tid(t as u8), c.clone()))
+        });
     }
     out
 }
@@ -741,7 +911,7 @@ mod tests {
         let prog = mk_prog(vec![(t1, 2), (t2, 1)]);
         let summarise = |terms: Vec<Config>| {
             let mut v: Vec<(Vec<Val>, Vec<Val>)> =
-                terms.into_iter().map(|c| (c.locals[0].clone(), c.locals[1].clone())).collect();
+                terms.into_iter().map(|c| (c.regs(0), c.regs(1))).collect();
             v.sort();
             v.dedup();
             v

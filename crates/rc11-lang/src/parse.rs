@@ -150,6 +150,8 @@ pub fn parse_litmus(src: &str) -> Result<ParsedLitmus, ParseError> {
     let parser = Parser {
         toks,
         pos: 0,
+        depth: 0,
+        height: 0,
         decls: Vec::new(),
         threads: Vec::new(),
         lint: LintInfo { allows: scan_allows(src), ..LintInfo::default() },
@@ -523,9 +525,23 @@ impl ThreadCtx {
     }
 }
 
+/// How deeply blocks, parenthesised expressions and unary operators may
+/// nest. The parser recurses once per level, so an unbounded input would
+/// overflow the stack — and a stack overflow aborts the process, which
+/// `catch_unwind` cannot contain. Hand-written litmus tests nest a few
+/// levels; the cap keeps even a debug build's recursion well inside a
+/// 2 MiB thread stack.
+pub const MAX_NESTING: u32 = 128;
+
 struct Parser {
     toks: Vec<(Tok, Span)>,
     pos: usize,
+    /// Current nesting depth of blocks, parentheses and unary operators
+    /// (see [`MAX_NESTING`]).
+    depth: u32,
+    /// Height of the expression tree the last expression parser returned
+    /// (also capped at [`MAX_NESTING`]).
+    height: u32,
     decls: Vec<(String, Decl)>,
     threads: Vec<ThreadCtx>,
     lint: LintInfo,
@@ -554,6 +570,22 @@ impl Parser {
 
     fn err(&self, span: Span, msg: impl Into<String>) -> ParseError {
         ParseError { msg: msg.into(), span }
+    }
+
+    /// Run `f` one nesting level deeper, or fail with a span-carrying
+    /// error past [`MAX_NESTING`]. The parser never backtracks, so an
+    /// error ends the parse and the level need not be given back.
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth >= MAX_NESTING {
+            return Err(self.err(self.span(), format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let out = f(self)?;
+        self.depth -= 1;
+        Ok(out)
     }
 
     fn expect(&mut self, want: &Tok, what: &str) -> Result<Span, ParseError> {
@@ -861,7 +893,7 @@ impl Parser {
 
     fn parse_block(&mut self, ti: usize) -> Result<Com, ParseError> {
         self.expect(&Tok::LBrace, "to open a block")?;
-        let body = self.parse_stmts(ti)?;
+        let body = self.nested(|p| p.parse_stmts(ti))?;
         self.expect(&Tok::RBrace, "to close a block")?;
         Ok(body)
     }
@@ -1099,27 +1131,49 @@ impl Parser {
     // -----------------------------------------------------------------
 
     fn parse_exp(&mut self, ti: usize) -> Result<Exp, ParseError> {
-        self.parse_or(ti)
+        self.nested(|p| p.parse_or(ti))
+    }
+
+    /// The height of a node over children of height `h`, or an error
+    /// past [`MAX_NESTING`]: operator chains like `1 + 1 + … + 1` parse
+    /// iteratively but build a left-deep tree, which every later pass
+    /// (compilation, evaluation, drop) walks recursively.
+    fn taller(&self, h: u32) -> Result<u32, ParseError> {
+        if h >= MAX_NESTING {
+            return Err(self.err(
+                self.span(),
+                format!("expression nested deeper than {MAX_NESTING} levels"),
+            ));
+        }
+        Ok(h + 1)
+    }
+
+    /// A left-associative chain of `next`-level operands joined by the
+    /// operators `op_of` recognises.
+    fn parse_chain(
+        &mut self,
+        ti: usize,
+        next: fn(&mut Self, usize) -> Result<Exp, ParseError>,
+        op_of: fn(&Tok) -> Option<BinOp>,
+    ) -> Result<Exp, ParseError> {
+        let mut e = next(self, ti)?;
+        let mut h = self.height;
+        while let Some(op) = op_of(self.peek()) {
+            self.bump();
+            let r = next(self, ti)?;
+            h = self.taller(h.max(self.height))?;
+            e = Exp::Bin(op, Box::new(e), Box::new(r));
+        }
+        self.height = h;
+        Ok(e)
     }
 
     fn parse_or(&mut self, ti: usize) -> Result<Exp, ParseError> {
-        let mut e = self.parse_and(ti)?;
-        while self.peek() == &Tok::OrOr {
-            self.bump();
-            let r = self.parse_and(ti)?;
-            e = Exp::Bin(BinOp::Or, Box::new(e), Box::new(r));
-        }
-        Ok(e)
+        self.parse_chain(ti, Self::parse_and, |t| (t == &Tok::OrOr).then_some(BinOp::Or))
     }
 
     fn parse_and(&mut self, ti: usize) -> Result<Exp, ParseError> {
-        let mut e = self.parse_cmp(ti)?;
-        while self.peek() == &Tok::AndAnd {
-            self.bump();
-            let r = self.parse_cmp(ti)?;
-            e = Exp::Bin(BinOp::And, Box::new(e), Box::new(r));
-        }
-        Ok(e)
+        self.parse_chain(ti, Self::parse_cmp, |t| (t == &Tok::AndAnd).then_some(BinOp::And))
     }
 
     fn parse_cmp(&mut self, ti: usize) -> Result<Exp, ParseError> {
@@ -1134,8 +1188,10 @@ impl Parser {
             _ => None,
         };
         if let Some((op, swap)) = op {
+            let h = self.height;
             self.bump();
             let r = self.parse_add(ti)?;
+            self.height = self.taller(h.max(self.height))?;
             let (a, b) = if swap { (r, e) } else { (e, r) };
             return Ok(Exp::Bin(op, Box::new(a), Box::new(b)));
         }
@@ -1143,45 +1199,33 @@ impl Parser {
     }
 
     fn parse_add(&mut self, ti: usize) -> Result<Exp, ParseError> {
-        let mut e = self.parse_mul(ti)?;
-        loop {
-            let op = match self.peek() {
-                Tok::Plus => BinOp::Add,
-                Tok::Minus => BinOp::Sub,
-                _ => break,
-            };
-            self.bump();
-            let r = self.parse_mul(ti)?;
-            e = Exp::Bin(op, Box::new(e), Box::new(r));
-        }
-        Ok(e)
+        self.parse_chain(ti, Self::parse_mul, |t| match t {
+            Tok::Plus => Some(BinOp::Add),
+            Tok::Minus => Some(BinOp::Sub),
+            _ => None,
+        })
     }
 
     fn parse_mul(&mut self, ti: usize) -> Result<Exp, ParseError> {
-        let mut e = self.parse_unary(ti)?;
-        loop {
-            let op = match self.peek() {
-                Tok::Star => BinOp::Mul,
-                Tok::Percent => BinOp::Mod,
-                _ => break,
-            };
-            self.bump();
-            let r = self.parse_unary(ti)?;
-            e = Exp::Bin(op, Box::new(e), Box::new(r));
-        }
-        Ok(e)
+        self.parse_chain(ti, Self::parse_unary, |t| match t {
+            Tok::Star => Some(BinOp::Mul),
+            Tok::Percent => Some(BinOp::Mod),
+            _ => None,
+        })
     }
 
     fn parse_unary(&mut self, ti: usize) -> Result<Exp, ParseError> {
         match self.peek() {
             Tok::Bang => {
                 self.bump();
-                let e = self.parse_unary(ti)?;
+                let e = self.nested(|p| p.parse_unary(ti))?;
+                self.height = self.taller(self.height)?;
                 Ok(Exp::Un(UnOp::Not, Box::new(e)))
             }
             Tok::Minus => {
                 self.bump();
-                let e = self.parse_unary(ti)?;
+                let e = self.nested(|p| p.parse_unary(ti))?;
+                self.height = self.taller(self.height)?;
                 // Fold constant negation so `-3` is a literal.
                 if let Exp::Val(Val::Int(n)) = e {
                     Ok(Exp::Val(Val::Int(-n)))
@@ -1195,6 +1239,9 @@ impl Parser {
 
     fn parse_primary(&mut self, ti: usize) -> Result<Exp, ParseError> {
         let span = self.span();
+        // Leaves have height 1; a parenthesised expression keeps the
+        // height `parse_exp` left behind.
+        self.height = 1;
         match self.bump().0 {
             Tok::Int(n) => Ok(Exp::Val(Val::Int(n))),
             Tok::LParen => {
@@ -1211,6 +1258,7 @@ impl Parser {
                     self.expect(&Tok::LParen, "to open `even(…)`")?;
                     let e = self.parse_exp(ti)?;
                     self.expect(&Tok::RParen, "to close `even(…)`")?;
+                    self.height = self.taller(self.height)?;
                     Ok(Exp::Un(UnOp::Even, Box::new(e)))
                 }
                 name => {

@@ -177,3 +177,47 @@ fn error_display_is_line_colon_column() {
     let e = err("litmus \"e\"\nvar x = @\n");
     assert_eq!(e.to_string(), "2:9: unexpected character `@`");
 }
+
+/// A one-thread litmus test whose thread body is `body`.
+fn with_body(body: &str) -> String {
+    format!(
+        "litmus \"deep\"\nvar x = 0\nthread T {{\n{body}\n}}\nobserve T.r\nexpected {{ (0) }}\n"
+    )
+}
+
+/// Hostile nesting is a span-carrying parse error, never a stack
+/// overflow (which would abort the process — `catch_unwind` cannot
+/// contain it). Each input below recurses once per level in a naive
+/// recursive-descent parser or in the passes that walk its result.
+#[test]
+fn hostile_nesting_is_rejected_not_a_stack_overflow() {
+    use rc11_lang::parse::MAX_NESTING;
+    let n = 200_000;
+    let cases = [
+        ("parentheses", with_body(&format!("r = {}0{};", "(".repeat(n), ")".repeat(n)))),
+        ("negations", with_body(&format!("r = {}true;", "!".repeat(n)))),
+        ("minus signs", with_body(&format!("r = {}1;", "- ".repeat(n)))),
+        ("an operator chain", with_body(&format!("r = 0{};", " + 1".repeat(n)))),
+        ("a conjunction chain", with_body(&format!("r = true{};", " && true".repeat(n)))),
+        (
+            "blocks",
+            with_body(&format!("r = 0; {}{}", "if (true) { ".repeat(n), "}".repeat(n))),
+        ),
+    ];
+    for (what, src) in cases {
+        let e = err(&src);
+        assert!(e.msg.contains(&format!("{MAX_NESTING} levels")), "{what}: {}", e.msg);
+        assert_eq!(e.span.line, 4, "{what}: the error points into the thread body");
+    }
+}
+
+/// Nesting up to the cap still parses: the limit is far above anything a
+/// hand-written test needs, and below it nothing changes.
+#[test]
+fn nesting_below_the_cap_still_parses() {
+    let depth = 100;
+    let src = with_body(&format!("r = {}0{};", "(".repeat(depth), " + 1)".repeat(depth)));
+    parse_litmus(&src).unwrap_or_else(|e| panic!("{e}"));
+    let src = with_body(&format!("r = 0; {}{}", "if (true) { ".repeat(depth), "}".repeat(depth)));
+    parse_litmus(&src).unwrap_or_else(|e| panic!("{e}"));
+}

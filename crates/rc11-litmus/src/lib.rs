@@ -87,22 +87,30 @@ pub fn load_str(src: &str) -> Result<Litmus, rc11_lang::ParseError> {
     parse_litmus(src).map(Litmus::from)
 }
 
+/// Read one `.litmus` file's source text (unparsed).
+pub fn read_file(path: impl AsRef<Path>) -> Result<String, LoadError> {
+    let path = path.as_ref();
+    std::fs::read_to_string(path).map_err(|e| LoadError::Io(path.to_path_buf(), e))
+}
+
 /// Load one `.litmus` file.
 pub fn load_file(path: impl AsRef<Path>) -> Result<Litmus, LoadError> {
     let path = path.as_ref();
-    let src =
-        std::fs::read_to_string(path).map_err(|e| LoadError::Io(path.to_path_buf(), e))?;
-    load_str(&src).map_err(|e| LoadError::Parse(path.to_path_buf(), e))
+    load_str(&read_file(path)?).map_err(|e| LoadError::Parse(path.to_path_buf(), e))
 }
 
-/// Load every `*.litmus` file directly inside `dir`, sorted by file name.
-/// Each file loads independently, so one bad file does not hide the rest —
-/// including entries whose directory iteration errors, which surface as
-/// [`LoadError::Io`] entries rather than vanishing from the list.
-pub fn load_dir(dir: impl AsRef<Path>) -> std::io::Result<Vec<(PathBuf, Result<Litmus, LoadError>)>> {
+/// Read the source text of every `*.litmus` file directly inside `dir`,
+/// sorted by file name, without parsing — for callers that time or
+/// contain the parse per file. Each file reads independently, so one bad
+/// file does not hide the rest — including entries whose directory
+/// iteration errors, which surface as [`LoadError::Io`] entries rather
+/// than vanishing from the list.
+pub fn read_dir(
+    dir: impl AsRef<Path>,
+) -> std::io::Result<Vec<(PathBuf, Result<String, LoadError>)>> {
     let dir = dir.as_ref();
     let mut paths: Vec<PathBuf> = Vec::new();
-    let mut broken: Vec<(PathBuf, Result<Litmus, LoadError>)> = Vec::new();
+    let mut broken: Vec<(PathBuf, Result<String, LoadError>)> = Vec::new();
     for entry in std::fs::read_dir(dir)? {
         match entry {
             Ok(e) => {
@@ -115,10 +123,25 @@ pub fn load_dir(dir: impl AsRef<Path>) -> std::io::Result<Vec<(PathBuf, Result<L
         }
     }
     paths.sort();
-    let mut out: Vec<(PathBuf, Result<Litmus, LoadError>)> =
-        paths.into_iter().map(|p| (p.clone(), load_file(&p))).collect();
+    let mut out: Vec<(PathBuf, Result<String, LoadError>)> =
+        paths.into_iter().map(|p| (p.clone(), read_file(&p))).collect();
     out.extend(broken);
     Ok(out)
+}
+
+/// Load every `*.litmus` file directly inside `dir`, sorted by file name
+/// ([`read_dir`], then each file parsed on its own).
+pub fn load_dir(
+    dir: impl AsRef<Path>,
+) -> std::io::Result<Vec<(PathBuf, Result<Litmus, LoadError>)>> {
+    Ok(read_dir(dir)?
+        .into_iter()
+        .map(|(p, src)| {
+            let loaded =
+                src.and_then(|src| load_str(&src).map_err(|e| LoadError::Parse(p.clone(), e)));
+            (p, loaded)
+        })
+        .collect())
 }
 
 /// Result of running one litmus test.

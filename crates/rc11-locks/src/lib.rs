@@ -297,7 +297,7 @@ mod tests {
             let report = engine.explore(&prog, &NoObjects, &opts);
             assert!(report.ok());
             for term in &report.terminated {
-                let st = term.mem.client();
+                let st = term.mem().client();
                 let max = st.max_op(x.loc);
                 assert_eq!(
                     st.op(max).act.wrval(),

@@ -27,21 +27,18 @@ pub fn inc_steps(mem: &Combined, t: Tid, c: Loc) -> Vec<(Val, Combined)> {
     };
 
     let mut next = mem.clone();
-    let (exec, ctx) = next.exec_ctx_mut(Comp::Lib);
-    let new = exec.insert_at_max(OpRecord {
-        loc: c,
-        tid: t,
-        act: OpAction::Method(MethodOp::CtrInc { v: Val::Int(old + 1) }),
-    });
-    exec.cover(w);
-    exec.tview_mut(t).set(c, new);
-    let mv_own = exec.mview_own(w).clone();
-    exec.join_tview_with(t, &mv_own);
-    let mv_other = exec.mview_other(w).clone();
-    ctx.join_tview_with(t, &mv_other);
-    let own = exec.tview(t).clone();
-    let other = ctx.tview(t).clone();
-    exec.set_mview(new, own, other);
+    let new = next.insert_at_max(
+        Comp::Lib,
+        OpRecord {
+            loc: c,
+            tid: t,
+            act: OpAction::Method(MethodOp::CtrInc { v: Val::Int(old + 1) }),
+        },
+    );
+    next.cover(Comp::Lib, w);
+    next.set_tview(Comp::Lib, t, c, new);
+    next.sync_from(Comp::Lib, t, w);
+    next.record_mview(Comp::Lib, new, t);
 
     vec![(Val::Int(old), next)]
 }

@@ -44,22 +44,16 @@ pub fn acquire_steps(mem: &Combined, t: Tid, l: Loc) -> Vec<(u32, Combined)> {
     let n = n_prev + 1;
 
     let mut next = mem.clone();
-    let (exec, ctx) = next.exec_ctx_mut(Comp::Lib);
     let b = MethodOp::LockAcquire { n, tid: t };
-    let new = exec.insert_at_max(OpRecord { loc: l, tid: t, act: OpAction::Method(b) });
+    let new = next.insert_at_max(Comp::Lib, OpRecord { loc: l, tid: t, act: OpAction::Method(b) });
     // cvd' = cvd ∪ {(w, q)}.
-    exec.cover(w);
-    // tview' = γ.tview_t[l := (b, q')] ⊗ γ.mview_(w,q).
-    exec.tview_mut(t).set(l, new);
-    let mv_own = exec.mview_own(w).clone();
-    exec.join_tview_with(t, &mv_own);
+    next.cover(Comp::Lib, w);
+    // tview' = γ.tview_t[l := (b, q')] ⊗ γ.mview_(w,q), and
     // ctview' = β.tview_t ⊗ γ.mview_(w,q).
-    let mv_other = exec.mview_other(w).clone();
-    ctx.join_tview_with(t, &mv_other);
+    next.set_tview(Comp::Lib, t, l, new);
+    next.sync_from(Comp::Lib, t, w);
     // mview' = tview' ∪ ctview'.
-    let own = exec.tview(t).clone();
-    let other = ctx.tview(t).clone();
-    exec.set_mview(new, own, other);
+    next.record_mview(Comp::Lib, new, t);
 
     vec![(n, next)]
 }
@@ -77,14 +71,11 @@ pub fn release_steps(mem: &Combined, t: Tid, l: Loc) -> Vec<(u32, Combined)> {
     };
 
     let mut next = mem.clone();
-    let (exec, ctx) = next.exec_ctx_mut(Comp::Lib);
     let a = MethodOp::LockRelease { n };
-    let new = exec.insert_at_max(OpRecord { loc: l, tid: t, act: OpAction::Method(a) });
+    let new = next.insert_at_max(Comp::Lib, OpRecord { loc: l, tid: t, act: OpAction::Method(a) });
     // tview' = γ.tview_t[l := (a, q')]; mview' = tview' ∪ β.tview_t.
-    exec.tview_mut(t).set(l, new);
-    let own = exec.tview(t).clone();
-    let other = ctx.tview(t).clone();
-    exec.set_mview(new, own, other);
+    next.set_tview(Comp::Lib, t, l, new);
+    next.record_mview(Comp::Lib, new, t);
 
     vec![(n, next)]
 }

@@ -33,16 +33,12 @@ pub fn front(mem: &Combined, q: Loc) -> Option<(OpId, Val, bool)> {
 /// All `enq` outcomes (always exactly one).
 pub fn enq_steps(mem: &Combined, t: Tid, q: Loc, v: Val, rel: bool) -> Vec<Combined> {
     let mut next = mem.clone();
-    let (exec, ctx) = next.exec_ctx_mut(Comp::Lib);
-    let new = exec.insert_at_max(OpRecord {
-        loc: q,
-        tid: t,
-        act: OpAction::Method(MethodOp::Enq { v, rel }),
-    });
-    exec.tview_mut(t).set(q, new);
-    let own = exec.tview(t).clone();
-    let other = ctx.tview(t).clone();
-    exec.set_mview(new, own, other);
+    let new = next.insert_at_max(
+        Comp::Lib,
+        OpRecord { loc: q, tid: t, act: OpAction::Method(MethodOp::Enq { v, rel }) },
+    );
+    next.set_tview(Comp::Lib, t, q, new);
+    next.record_mview(Comp::Lib, new, t);
     vec![next]
 }
 
@@ -53,24 +49,20 @@ pub fn deq_steps(mem: &Combined, t: Tid, q: Loc, acq: bool) -> Vec<(Val, Combine
         None => vec![(Val::Empty, mem.clone())],
         Some((w, v, rel)) => {
             let mut next = mem.clone();
-            let (exec, ctx) = next.exec_ctx_mut(Comp::Lib);
-            let new = exec.insert_after(
+            let new = next.insert_after(
+                Comp::Lib,
                 w,
                 OpRecord { loc: q, tid: t, act: OpAction::Method(MethodOp::Deq { v, acq }) },
             );
-            exec.cover(w);
-            if exec.rank_of(new) > exec.rank_of(exec.tview(t).get(q)) {
-                exec.tview_mut(t).set(q, new);
+            next.cover(Comp::Lib, w);
+            let lib = next.lib();
+            if lib.rank_of(new) > lib.rank_of(lib.tview(t).get(q)) {
+                next.set_tview(Comp::Lib, t, q, new);
             }
             if acq && rel {
-                let mv_own = exec.mview_own(w).clone();
-                exec.join_tview_with(t, &mv_own);
-                let mv_other = exec.mview_other(w).clone();
-                ctx.join_tview_with(t, &mv_other);
+                next.sync_from(Comp::Lib, t, w);
             }
-            let own = exec.tview(t).clone();
-            let other = ctx.tview(t).clone();
-            exec.set_mview(new, own, other);
+            next.record_mview(Comp::Lib, new, t);
             vec![(v, next)]
         }
     }

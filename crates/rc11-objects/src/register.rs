@@ -28,15 +28,13 @@ pub fn write_steps(mem: &Combined, t: Tid, r: Loc, v: Val, rel: bool) -> Vec<Com
         .into_iter()
         .map(|w| {
             let mut next = mem.clone();
-            let (exec, ctx) = next.exec_ctx_mut(Comp::Lib);
-            let new = exec.insert_after(
+            let new = next.insert_after(
+                Comp::Lib,
                 w,
                 OpRecord { loc: r, tid: t, act: OpAction::Method(MethodOp::RegWrite { v, rel }) },
             );
-            exec.tview_mut(t).set(r, new);
-            let own = exec.tview(t).clone();
-            let other = ctx.tview(t).clone();
-            exec.set_mview(new, own, other);
+            next.set_tview(Comp::Lib, t, r, new);
+            next.record_mview(Comp::Lib, new, t);
             next
         })
         .collect()
@@ -51,14 +49,10 @@ pub fn read_steps(mem: &Combined, t: Tid, r: Loc, acq: bool) -> Vec<(Val, Combin
             let v = reg_val(mem.lib().op(w).act);
             let rel = mem.lib().op(w).act.is_releasing();
             let mut next = mem.clone();
-            let (exec, ctx) = next.exec_ctx_mut(Comp::Lib);
             if acq && rel {
-                let mv_own = exec.mview_own(w).clone();
-                exec.join_tview_with(t, &mv_own);
-                let mv_other = exec.mview_other(w).clone();
-                ctx.join_tview_with(t, &mv_other);
+                next.sync_from(Comp::Lib, t, w);
             } else {
-                exec.tview_mut(t).set(r, w);
+                next.set_tview(Comp::Lib, t, r, w);
             }
             (v, next)
         })

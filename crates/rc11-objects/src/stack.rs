@@ -41,16 +41,12 @@ pub fn top(mem: &Combined, s: Loc) -> Option<(OpId, Val, bool)> {
 /// All `push` outcomes (always exactly one).
 pub fn push_steps(mem: &Combined, t: Tid, s: Loc, v: Val, rel: bool) -> Vec<Combined> {
     let mut next = mem.clone();
-    let (exec, ctx) = next.exec_ctx_mut(Comp::Lib);
-    let new = exec.insert_at_max(OpRecord {
-        loc: s,
-        tid: t,
-        act: OpAction::Method(MethodOp::Push { v, rel }),
-    });
-    exec.tview_mut(t).set(s, new);
-    let own = exec.tview(t).clone();
-    let other = ctx.tview(t).clone();
-    exec.set_mview(new, own, other);
+    let new = next.insert_at_max(
+        Comp::Lib,
+        OpRecord { loc: s, tid: t, act: OpAction::Method(MethodOp::Push { v, rel }) },
+    );
+    next.set_tview(Comp::Lib, t, s, new);
+    next.record_mview(Comp::Lib, new, t);
     vec![next]
 }
 
@@ -61,26 +57,22 @@ pub fn pop_steps(mem: &Combined, t: Tid, s: Loc, acq: bool) -> Vec<(Val, Combine
         None => vec![(Val::Empty, mem.clone())],
         Some((w, v, rel)) => {
             let mut next = mem.clone();
-            let (exec, ctx) = next.exec_ctx_mut(Comp::Lib);
-            let new = exec.insert_after(
+            let new = next.insert_after(
+                Comp::Lib,
                 w,
                 OpRecord { loc: s, tid: t, act: OpAction::Method(MethodOp::Pop { v, acq }) },
             );
-            exec.cover(w);
+            next.cover(Comp::Lib, w);
             // Views are monotone: only advance towards the new pop (the
             // popped push may lie below the popper's current viewfront).
-            if exec.rank_of(new) > exec.rank_of(exec.tview(t).get(s)) {
-                exec.tview_mut(t).set(s, new);
+            let lib = next.lib();
+            if lib.rank_of(new) > lib.rank_of(lib.tview(t).get(s)) {
+                next.set_tview(Comp::Lib, t, s, new);
             }
             if acq && rel {
-                let mv_own = exec.mview_own(w).clone();
-                exec.join_tview_with(t, &mv_own);
-                let mv_other = exec.mview_other(w).clone();
-                ctx.join_tview_with(t, &mv_other);
+                next.sync_from(Comp::Lib, t, w);
             }
-            let own = exec.tview(t).clone();
-            let other = ctx.tview(t).clone();
-            exec.set_mview(new, own, other);
+            next.record_mview(Comp::Lib, new, t);
             vec![(v, next)]
         }
     }

@@ -11,6 +11,7 @@
 
 use rc11_core::{Loc, OpAction, Tid, Val};
 use rc11_lang::machine::Config;
+use rc11_lang::Reg;
 
 /// Which registers of each thread belong to the *client* (implementation-
 /// private registers appended by `instantiate` are excluded from
@@ -50,12 +51,12 @@ pub struct ClientProj {
 impl ClientProj {
     /// Extract the projection of `cfg`.
     pub fn of(cfg: &Config, shape: &ClientShape) -> ClientProj {
-        let st = cfg.mem.client();
-        let locals = cfg
-            .locals
+        let st = cfg.mem().client();
+        let locals = shape
+            .n_client_regs
             .iter()
-            .zip(&shape.n_client_regs)
-            .map(|(ls, &n)| ls[..n as usize].to_vec())
+            .enumerate()
+            .map(|(t, &n)| (0..n).map(|r| cfg.reg(t, Reg(r))).collect())
             .collect();
         let history = (0..shape.n_client_locs)
             .map(|l| {
@@ -127,8 +128,8 @@ mod tests {
         // Write d := 1 in both; then one config's T0 reads the new write
         // (advancing its view) while the other stays put.
         let mut a = init.clone();
-        let w = a.mem.write_preds(Comp::Client, Tid(0), d.loc)[0];
-        a.mem = a.mem.apply_write(Comp::Client, Tid(0), d.loc, Val::Int(1), false, w);
+        let w = a.mem().write_preds(Comp::Client, Tid(0), d.loc)[0];
+        a = a.with_mem(a.mem().apply_write(Comp::Client, Tid(0), d.loc, Val::Int(1), false, w));
         let lag = ClientProj::of(&a, &shape);
         // T0 already saw the write (writer view advanced automatically);
         // simulate a *second* thread? Single thread: compare against itself.
@@ -147,8 +148,8 @@ mod tests {
         let (shape, init, _, d) = shape_and_cfg();
         use rc11_core::{Comp, Tid, Val};
         let mut a = init.clone();
-        let w = a.mem.write_preds(Comp::Client, Tid(0), d.loc)[0];
-        a.mem = a.mem.apply_write(Comp::Client, Tid(0), d.loc, Val::Int(1), false, w);
+        let w = a.mem().write_preds(Comp::Client, Tid(0), d.loc)[0];
+        a = a.with_mem(a.mem().apply_write(Comp::Client, Tid(0), d.loc, Val::Int(1), false, w));
         let pa = ClientProj::of(&a, &shape);
         let pi = ClientProj::of(&init, &shape);
         assert!(!pa.refines(&pi));
@@ -160,8 +161,9 @@ mod tests {
         // Two configs differing only past the client register count project
         // equally.
         let (shape, init, _, _) = shape_and_cfg();
-        let mut b = init.clone();
-        b.locals[0].push(rc11_core::Val::Int(99)); // fake impl register
+        let mut locals = init.locals();
+        locals[0].push(rc11_core::Val::Int(99)); // fake impl register
+        let b = Config::from_parts(init.pcs(), &locals, init.mem().clone());
         let pa = ClientProj::of(&init, &shape);
         let pb = ClientProj::of(&b, &shape);
         assert_eq!(pa, pb);

@@ -103,8 +103,8 @@ RUN OPTIONS:
                              (`deadline`), the batch continues
   --max-transitions <N>      transition budget per engine run (same
                              stopped-early contract)
-  --mem-budget <BYTES>       approximate interned-state memory budget per
-                             engine run (same stopped-early contract)
+  --mem-budget <BYTES>       interned-state memory budget per engine run
+                             (same stopped-early contract)
   --checkpoint <DIR>         periodically checkpoint the exploration into
                              DIR (forces the sequential engine); an
                              interrupted run resumes from DIR and finishes
@@ -378,14 +378,16 @@ fn cmd_run(raw: &[String]) -> ExitCode {
         workers
     };
 
-    // Collect and load the work list (directories via the library's
-    // `load_dir`, so the CLI and the test suite share one enumeration).
-    let mut files: Vec<(PathBuf, Result<Litmus, litmus::LoadError>)> = Vec::new();
+    // Collect the work list's sources (directories via the library's
+    // `read_dir`, so the CLI and the test suite share one enumeration).
+    // Each file is parsed in the batch loop below, after its telemetry
+    // baseline, so its per-file delta includes the parse phase.
+    let mut files: Vec<(PathBuf, Result<String, litmus::LoadError>)> = Vec::new();
     let mut broken = 0usize;
     for arg in &opts.args {
         let p = PathBuf::from(arg);
         if p.is_dir() {
-            match litmus::load_dir(&p) {
+            match litmus::read_dir(&p) {
                 Ok(entries) if entries.is_empty() => {
                     eprintln!("rc11: no .litmus files in {}", p.display());
                     broken += 1;
@@ -397,7 +399,7 @@ fn cmd_run(raw: &[String]) -> ExitCode {
                 }
             }
         } else {
-            files.push((p.clone(), litmus::load_file(&p)));
+            files.push((p.clone(), litmus::read_file(&p)));
         }
     }
 
@@ -562,11 +564,20 @@ fn cmd_run(raw: &[String]) -> ExitCode {
         header.push_str(&format!(" {:>10}", "NOTES"));
         println!("{header}  RESULT");
     }
-    // `LoadError`'s Display already includes the path, so only the loaded
-    // result is consumed here. Every file runs inside `catch_unwind`: a
-    // panicking engine is reported as that file's failure and the batch
-    // finishes — one poisoned input never hides the rest of the corpus.
-    for (_path, loaded) in &files {
+    // `LoadError`'s Display already includes the path. Every file runs
+    // inside `catch_unwind`: a panicking engine is reported as that file's
+    // failure and the batch finishes — one poisoned input never hides the
+    // rest of the corpus.
+    for (path, source) in &files {
+        let tel0 = telemetry.as_ref().map(|t| t.snapshot());
+        let loaded = source.as_ref().map_err(|e| e.to_string()).and_then(|src| {
+            let parse = || litmus::load_str(src);
+            match &telemetry {
+                Some(t) => t.time_phase(rc11::telemetry::Phase::Parse, parse),
+                None => parse(),
+            }
+            .map_err(|e| litmus::LoadError::Parse(path.clone(), e).to_string())
+        });
         let litmus = match loaded {
             Ok(l) => l,
             Err(e) => {
@@ -575,6 +586,7 @@ fn cmd_run(raw: &[String]) -> ExitCode {
                 continue;
             }
         };
+        let litmus = &litmus;
         let run = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             run_one(
                 litmus,
@@ -587,6 +599,7 @@ fn cmd_run(raw: &[String]) -> ExitCode {
                 dpor,
                 max_states,
                 trace.as_deref(),
+                tel0,
             )
         })) {
             Ok(run) => run,
@@ -765,7 +778,9 @@ fn note_code(n: &rc11::check::Note) -> &'static str {
 
 /// Run one litmus file at every requested engine configuration (through
 /// the shared [`CheckService`] request path) plus the enabled reduction
-/// differentials, collecting verdicts, notes and totals.
+/// differentials, collecting verdicts, notes and totals. `tel0` is the
+/// telemetry baseline taken before the file was parsed; the first request
+/// attributes the parse to itself through it.
 #[allow(clippy::too_many_arguments)]
 fn run_one(
     litmus: &Litmus,
@@ -778,6 +793,7 @@ fn run_one(
     dpor: bool,
     max_states: usize,
     trace: Option<&std::sync::Mutex<rc11::check::TraceWriter<std::fs::File>>>,
+    mut tel0: Option<rc11::telemetry::TelemetrySnapshot>,
 ) -> FileRun {
     let mut ok = true;
     let mut states = 0usize;
@@ -791,12 +807,13 @@ fn run_one(
     for &w in workers {
         let mut params = base_params.clone();
         params.workers = w;
-        let res = service.check_parts(
+        let res = service.check_parts_since(
             &litmus.name,
             &litmus.prog,
             &litmus.observe,
             &litmus.expected,
             &params,
+            tel0.take(),
         );
         states = res.states;
         transitions = res.transitions;

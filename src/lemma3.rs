@@ -74,7 +74,7 @@ fn holds(p: &Pred, prog: &CfgProgram, cfg: &Config) -> bool {
 }
 
 fn with_mem(cfg: &Config, mem: Combined) -> Config {
-    Config { pcs: cfg.pcs.clone(), locals: cfg.locals.clone(), mem }
+    cfg.with_mem(mem)
 }
 
 /// Check all six rules over the harness; panics on the first violation.
@@ -89,7 +89,7 @@ pub fn check_all_rules(h: &RuleHarness) -> RuleStats {
                 let tid = Tid(t as u8);
                 // Rules (1) and (2): hidden releases.
                 if hid_holds {
-                    for (v, mem) in lock::acquire_steps(&cfg.mem, tid, h.l.loc) {
+                    for (v, mem) in lock::acquire_steps(cfg.mem(), tid, h.l.loc) {
                         assert!(v > u + 1, "rule 1 violated: v={v}, u={u}");
                         s.r1 += 1;
                         assert!(
@@ -98,7 +98,7 @@ pub fn check_all_rules(h: &RuleHarness) -> RuleStats {
                         );
                         s.r2 += 1;
                     }
-                    for (_, mem) in lock::release_steps(&cfg.mem, tid, h.l.loc) {
+                    for (_, mem) in lock::release_steps(cfg.mem(), tid, h.l.loc) {
                         assert!(
                             holds(&hid, &h.prog, &with_mem(cfg, mem)),
                             "rule 2 violated (release)"
@@ -108,7 +108,7 @@ pub fn check_all_rules(h: &RuleHarness) -> RuleStats {
                 }
                 // Rule (3): definite release yields next acquire.
                 if holds(&dobs_op(t, h.l, OpPat::Release(u)), &h.prog, cfg) {
-                    for (v, mem) in lock::acquire_steps(&cfg.mem, tid, h.l.loc) {
+                    for (v, mem) in lock::acquire_steps(cfg.mem(), tid, h.l.loc) {
                         assert_eq!(v, u + 1, "rule 3 violated: version");
                         assert!(
                             holds(
@@ -127,7 +127,7 @@ pub fn check_all_rules(h: &RuleHarness) -> RuleStats {
                     if holds(&pobs_op(t, h.l, OpPat::Release(u)), &h.prog, cfg)
                         && holds(&pre, &h.prog, cfg)
                     {
-                        for (v, mem) in lock::acquire_steps(&cfg.mem, tid, h.l.loc) {
+                        for (v, mem) in lock::acquire_steps(cfg.mem(), tid, h.l.loc) {
                             if v == u + 1 {
                                 assert!(
                                     holds(&dobs(t, h.x, nv), &h.prog, &with_mem(cfg, mem)),
@@ -152,9 +152,9 @@ pub fn check_all_rules(h: &RuleHarness) -> RuleStats {
                         continue;
                     }
                     let tid2 = Tid(t2 as u8);
-                    for (_, mem) in lock::acquire_steps(&cfg.mem, tid2, h.l.loc)
+                    for (_, mem) in lock::acquire_steps(cfg.mem(), tid2, h.l.loc)
                         .into_iter()
-                        .chain(lock::release_steps(&cfg.mem, tid2, h.l.loc))
+                        .chain(lock::release_steps(cfg.mem(), tid2, h.l.loc))
                     {
                         assert!(holds(&pre, &h.prog, &with_mem(cfg, mem)), "rule 4 violated");
                         s.r4 += 1;
@@ -175,7 +175,7 @@ pub fn check_all_rules(h: &RuleHarness) -> RuleStats {
                         {
                             continue;
                         }
-                        for (nn, mem) in lock::release_steps(&cfg.mem, Tid(t as u8), h.l.loc)
+                        for (nn, mem) in lock::release_steps(cfg.mem(), Tid(t as u8), h.l.loc)
                         {
                             if nn != u {
                                 continue;

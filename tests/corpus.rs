@@ -435,3 +435,32 @@ fn whole_corpus_is_exact_with_fingerprints_off() {
         }
     }
 }
+
+#[test]
+fn hostile_nesting_costs_one_error_entry_not_the_batch() {
+    // A batch directory holding one good file and one whose expression
+    // nests 200k parentheses: the bad file is one span-carrying parse
+    // error, the good one still loads and passes.
+    let dir = std::env::temp_dir().join(format!("rc11-deep-batch-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    std::fs::copy(corpus_dir().join("mp_ra.litmus"), dir.join("a_good.litmus")).expect("copy");
+    let deep = format!(
+        "litmus \"deep\"\nvar x = 0\nthread T {{ r = {}0{}; }}\nobserve T.r\nexpected {{ (0) }}\n",
+        "(".repeat(200_000),
+        ")".repeat(200_000)
+    );
+    std::fs::write(dir.join("b_deep.litmus"), deep).expect("write deep file");
+    let entries = litmus::load_dir(&dir).expect("readable dir");
+    std::fs::remove_dir_all(&dir).expect("clean up");
+    assert_eq!(entries.len(), 2);
+    let good = entries[0].1.as_ref().unwrap_or_else(|e| panic!("{e}"));
+    assert!(litmus::run(good).pass, "the good file still passes");
+    match &entries[1].1 {
+        Err(litmus::LoadError::Parse(_, e)) => {
+            assert!(e.msg.contains("nesting deeper than"), "{e}");
+            assert_eq!(e.span.line, 3);
+        }
+        Err(e) => panic!("expected a parse error, got {e}"),
+        Ok(_) => panic!("the deep file must not load"),
+    }
+}

@@ -334,3 +334,40 @@ fn concurrent_clients_with_mixed_budgets_and_mid_queue_shutdown_never_hang() {
     // stuck worker would hang right here.
     handle.join();
 }
+
+#[test]
+fn hostile_nesting_gets_an_error_response_and_the_daemon_lives_on() {
+    use std::io::{BufRead, BufReader, Write};
+    let handle = start(&DaemonConfig::default()).expect("daemon starts");
+    // A wire line of a million `[`: the JSON parser's depth cap turns it
+    // into an error response instead of a stack overflow that would abort
+    // the daemon.
+    let stream = std::net::TcpStream::connect(handle.addr()).expect("raw connection");
+    let mut writer = stream.try_clone().expect("clone stream");
+    let mut reader = BufReader::new(stream);
+    writer.write_all(("[".repeat(1_000_000) + "\n").as_bytes()).expect("send hostile line");
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("daemon answers the hostile line");
+    let response = rc11::check::wire::parse_json(&line).expect("well-formed response");
+    assert!(!is_ok(&response));
+    assert!(str_of(&response, "error").contains("nesting deeper than"), "{line}");
+    // The same connection still answers a ping.
+    writer.write_all(b"{\"cmd\":\"ping\"}\n").expect("send ping");
+    line.clear();
+    reader.read_line(&mut line).expect("daemon answers the ping");
+    let pong = rc11::check::wire::parse_json(&line).expect("well-formed response");
+    assert_eq!(pong.get("pong").and_then(Json::as_bool), Some(true), "{line}");
+
+    // A litmus source nesting 200k parentheses: a parse error response.
+    let mut client = Client::connect(handle.addr()).expect("client connects");
+    let deep = format!(
+        "litmus \"deep\"\nvar x = 0\nthread T {{ r = {}0{}; }}\nobserve T.r\nexpected {{ (0) }}\n",
+        "(".repeat(200_000),
+        ")".repeat(200_000)
+    );
+    let parse_error = client.check(&deep).expect("daemon answers");
+    assert!(!is_ok(&parse_error));
+    assert!(str_of(&parse_error, "error").starts_with("parse:"));
+    assert!(client.ping().expect("daemon still answers"));
+    handle.stop();
+}

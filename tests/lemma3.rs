@@ -64,7 +64,7 @@ fn holds(p: &Pred, prog: &CfgProgram, cfg: &Config) -> bool {
 }
 
 fn with_mem(cfg: &Config, mem: Combined) -> Config {
-    Config { pcs: cfg.pcs.clone(), locals: cfg.locals.clone(), mem }
+    cfg.with_mem(mem)
 }
 
 /// All six rules via the reusable `rc11::lemma3` module (the benches time
@@ -93,7 +93,7 @@ fn rule_1_hidden_release_forces_later_version() {
                     continue;
                 }
                 for t in 0..h.prog.n_threads() {
-                    for (v, _) in lock::acquire_steps(&cfg.mem, Tid(t as u8), h.l.loc) {
+                    for (v, _) in lock::acquire_steps(cfg.mem(), Tid(t as u8), h.l.loc) {
                         assert!(v > u + 1, "rule 1: acquired v={v} with release_{u} hidden");
                         instances += 1;
                     }
@@ -118,9 +118,9 @@ fn rule_2_hidden_is_stable() {
                 }
                 for t in 0..h.prog.n_threads() {
                     let tid = Tid(t as u8);
-                    for (_, mem) in lock::acquire_steps(&cfg.mem, tid, h.l.loc)
+                    for (_, mem) in lock::acquire_steps(cfg.mem(), tid, h.l.loc)
                         .into_iter()
-                        .chain(lock::release_steps(&cfg.mem, tid, h.l.loc))
+                        .chain(lock::release_steps(cfg.mem(), tid, h.l.loc))
                     {
                         assert!(
                             holds(&pre, &h.prog, &with_mem(cfg, mem)),
@@ -146,7 +146,7 @@ fn rule_3_definite_release_yields_next_acquire() {
                     if !holds(&dobs_op(t, h.l, OpPat::Release(u)), &h.prog, cfg) {
                         continue;
                     }
-                    for (v, mem) in lock::acquire_steps(&cfg.mem, Tid(t as u8), h.l.loc) {
+                    for (v, mem) in lock::acquire_steps(cfg.mem(), Tid(t as u8), h.l.loc) {
                         assert_eq!(v, u + 1, "rule 3: version must be u+1");
                         assert!(
                             holds(
@@ -183,9 +183,9 @@ fn rule_4_definite_obs_stable_under_other_lock_ops() {
                             continue;
                         }
                         let tid2 = Tid(t2 as u8);
-                        for (_, mem) in lock::acquire_steps(&cfg.mem, tid2, h.l.loc)
+                        for (_, mem) in lock::acquire_steps(cfg.mem(), tid2, h.l.loc)
                             .into_iter()
-                            .chain(lock::release_steps(&cfg.mem, tid2, h.l.loc))
+                            .chain(lock::release_steps(cfg.mem(), tid2, h.l.loc))
                         {
                             assert!(
                                 holds(&pre, &h.prog, &with_mem(cfg, mem)),
@@ -218,7 +218,7 @@ fn rule_5_conditional_becomes_definite_on_acquire() {
                         {
                             continue;
                         }
-                        for (v, mem) in lock::acquire_steps(&cfg.mem, Tid(t as u8), h.l.loc) {
+                        for (v, mem) in lock::acquire_steps(cfg.mem(), Tid(t as u8), h.l.loc) {
                             if v == u + 1 {
                                 assert!(
                                     holds(&dobs(t, h.x, n), &h.prog, &with_mem(cfg, mem)),
@@ -255,7 +255,7 @@ fn rule_6_release_publishes_definite_observation() {
                                 continue;
                             }
                             for (n, mem) in
-                                lock::release_steps(&cfg.mem, Tid(t as u8), h.l.loc)
+                                lock::release_steps(cfg.mem(), Tid(t as u8), h.l.loc)
                             {
                                 if n != u {
                                     continue;

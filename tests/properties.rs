@@ -69,7 +69,7 @@ fn cfg_terminals(prog: &CfgProgram, fuse: bool) -> HashSet<Outcome> {
     while let Some(c) = frontier.pop() {
         let succs = successors(prog, &NoObjects, &c, StepOptions { fuse_local: fuse });
         if succs.is_empty() {
-            out.insert((c.locals.clone(), c.mem.canonical()));
+            out.insert((c.locals(), c.mem().canonical()));
             continue;
         }
         for (_, s) in succs {
@@ -138,8 +138,8 @@ proptest! {
                 // Old-state frontier op must still be ≤ the new frontier in
                 // the NEW state's modification order (ids are stable within
                 // a step; canonicalise only after the check).
-                let old_st = c.mem.client();
-                let new_st = s.mem.client();
+                let old_st = c.mem().client();
+                let new_st = s.mem().client();
                 for t in 0..2 {
                     for l in 0..2 {
                         let tid = rc11::core::Tid(t as u8);
@@ -172,7 +172,7 @@ proptest! {
         let mut frontier = vec![Config::initial(&compiled)];
         while let Some(c) = frontier.pop() {
             let canon = c.canonical();
-            canon.mem.check_invariants();
+            canon.mem().check_invariants();
             prop_assert_eq!(canon.canonical(), canon.clone());
             for (_, s) in successors(&compiled, &NoObjects, &c, StepOptions::default()) {
                 if seen.insert(s.canonical()) {
@@ -251,7 +251,7 @@ proptest! {
         let mut frontier = vec![Config::initial(&compiled)];
         seen.insert(frontier[0].canonical());
         while let Some(c) = frontier.pop() {
-            let st = c.mem.client();
+            let st = c.mem().client();
             for l in 0..2u16 {
                 let mo = st.mo(rc11::core::Loc(l));
                 let max = *mo.last().unwrap();

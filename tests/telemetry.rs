@@ -182,3 +182,32 @@ fn shared_sink_still_attaches_exact_per_run_deltas() {
     // The cumulative sink kept the totals (it is what --progress reads).
     assert!(tel.snapshot().get(Counter::States) > 0);
 }
+
+#[test]
+fn parse_phase_lands_in_every_request_delta() {
+    // Phase attribution is complete: a request that starts from source
+    // text reports a non-zero parse phase in its own telemetry delta, for
+    // every corpus file, on a fresh sink and on one shared across the
+    // batch (the `rc11 run --trace` configuration).
+    use rc11::check::{CheckParams, CheckService};
+    use rc11::telemetry::Phase;
+    let shared = Telemetry::shared();
+    let service = CheckService::new();
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(corpus_dir())
+        .expect("corpus/ must exist")
+        .map(|e| e.expect("corpus entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "litmus"))
+        .collect();
+    paths.sort();
+    assert!(!paths.is_empty());
+    for path in &paths {
+        let src = std::fs::read_to_string(path).expect("readable corpus file");
+        for tel in [Telemetry::shared(), Arc::clone(&shared)] {
+            let params = CheckParams { telemetry: Some(tel), ..Default::default() };
+            let res = service.check_source(&src, &params).unwrap_or_else(|e| panic!("{e}"));
+            let snap = res.telemetry.as_ref().expect("sink attached");
+            assert!(snap.phase(Phase::Parse) > 0, "{}: parse phase missing", path.display());
+            assert!(snap.phase(Phase::Explore) > 0, "{}: explore phase missing", path.display());
+        }
+    }
+}
