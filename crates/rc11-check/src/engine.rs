@@ -7,7 +7,9 @@
 //! ([`EngineReport`], with [`Violation`]s that carry counterexample traces)
 //! and one entry point ([`Engine`]) behind which the sequential explorer
 //! ([`crate::explore::Explorer`]) and the batched work-stealing parallel
-//! explorer ([`crate::parallel::par_explore`]) are interchangeable.
+//! walk ([`crate::parallel`]) are interchangeable. Both expand work items
+//! with one kernel ([`crate::expand::Kernel`]) and differ only in
+//! scheduling and in their visited store.
 //!
 //! The two engines are proven equivalent — identical state, transition and
 //! terminal counts and identical violation sets — by the differential suite
@@ -18,7 +20,6 @@
 use crate::chaos::ChaosState;
 use crate::checkpoint::CheckpointOpts;
 use crate::explore::Explorer;
-use crate::parallel::par_explore;
 use rc11_core::Tid;
 use rc11_lang::cfg::CfgProgram;
 use rc11_lang::machine::{Config, ObjectSemantics, StepOptions};
@@ -221,15 +222,17 @@ pub struct ExploreOptions {
     /// Both engines honour this: the sequential explorer keeps a parent
     /// array, the parallel engine a sharded parent-pointer map.
     pub record_traces: bool,
-    /// Deduplicate visited states on zero-rebuild 128-bit canonical
-    /// fingerprints (`rc11_check::fxhash::Fp128`) instead of materialised
-    /// canonical [`Config`] keys. Successors then cost one hash walk
-    /// instead of a full renumber-and-rebuild plus a key clone; canonical
-    /// configurations are interned exactly once, and fingerprint hits are
-    /// confirmed against the interned representative, so verdicts are
-    /// bit-identical either way (enforced by the fingerprint-on/off
-    /// differential in `tests/engine_agreement.rs`; ablation A4 in
-    /// DESIGN.md). Off = the legacy materialised-canonical dedup path.
+    /// Fingerprint successors with the zero-rebuild walk. Both settings
+    /// key the visited stores on 128-bit canonical fingerprints
+    /// (`rc11_check::fxhash::Fp128`) and intern each canonical
+    /// configuration exactly once. On (the default), a successor costs one
+    /// hash walk and a hit is confirmed with a zero-rebuild `canonical_eq`
+    /// walk against the interned representative. Off, the canonical form
+    /// is materialised first, hashed, and a hit confirmed with `==` — dedup
+    /// is then decided by materialised canonical equality, the reference
+    /// the fingerprint-on/off differentials in `tests/engine_agreement.rs`
+    /// hold the default to (ablation A4 in DESIGN.md). Verdicts are
+    /// bit-identical either way.
     pub fingerprint: bool,
     /// Partial-order reduction: sleep-set pruning over the
     /// [`rc11_core::StepFootprint`] independence oracle (ablation A5 in
@@ -275,7 +278,7 @@ pub struct ExploreOptions {
     /// unreduced search: the check callback runs on every distinct orbit
     /// member at discovery, and terminal sets are orbit-expanded before
     /// the report is returned. Composes with [`ExploreOptions::por`] and
-    /// both dedup modes. Programs without symmetric threads pay one cheap
+    /// either fingerprint setting. Programs without symmetric threads pay one cheap
     /// static analysis and then run the unchanged fast path. Default
     /// **off** this release; `rc11 run --symmetry` and the A6 benches turn
     /// it on. Ignored by the outline checker (Owicki–Gries classification
@@ -428,8 +431,8 @@ impl EngineReport {
 pub enum Engine {
     /// The sequential reference explorer ([`crate::explore::Explorer`]).
     Sequential,
-    /// The batched work-stealing parallel explorer
-    /// ([`crate::parallel::par_explore`]) with this many workers.
+    /// The batched work-stealing parallel explorer ([`crate::parallel`])
+    /// with this many workers.
     Parallel {
         /// Worker-thread count (clamped to at least 1).
         workers: usize,
@@ -474,7 +477,9 @@ impl Engine {
             Engine::Sequential => Explorer::new(prog, objs)
                 .with_options(opts.clone())
                 .explore_with(|c, out| check(c, out)),
-            Engine::Parallel { workers } => par_explore(prog, objs, opts, *workers, check),
+            Engine::Parallel { workers } => {
+                crate::parallel::walk(prog, objs, opts, *workers, |_, _, _| {}, check)
+            }
         }
     }
 

@@ -7,18 +7,19 @@
 //! the paper's "for all executions" quantifier: every lemma is checked at
 //! every reachable configuration.
 //!
-//! Deduplication is keyed on zero-rebuild **canonical fingerprints** by
-//! default ([`ExploreOptions::fingerprint`]): each successor is hashed in
-//! canonical order without materialising the canonical form, the visited
-//! map sends `Fp128 → state ids`, and every canonical configuration is
+//! Deduplication is keyed on **canonical fingerprints**: the visited map
+//! sends `Fp128 → state ids`, and every canonical configuration is
 //! **interned exactly once** in the node arena (which doubles as the
-//! parent-pointer store for trace reconstruction). A fingerprint hit is
-//! confirmed with a zero-rebuild `canonical_eq` walk against the interned
-//! representative(s) in its (rare) collision bucket, so verdicts are
-//! bit-identical to the legacy materialised-canonical path — which remains
-//! available with `fingerprint: false` (ablation A4 in DESIGN.md).
-//! Successors are stepped into one reused scratch configuration
-//! ([`for_each_thread_successor`]) and probed there, and the expanded
+//! parent-pointer store for trace reconstruction). By default each
+//! successor is hashed in canonical order without materialising the
+//! canonical form, and a hit is confirmed with a zero-rebuild
+//! `canonical_eq` walk against the interned representative(s) in its
+//! (rare) collision bucket; with [`ExploreOptions::fingerprint`] off the
+//! canonical form is materialised, hashed and compared with `==` instead
+//! (the A4 reference, see [`crate::expand::Key`]). Work items are
+//! expanded by the kernel both engines share ([`crate::expand::Kernel`]),
+//! which steps successors into one reused scratch configuration; the
+//! explorer probes each there and commits it at once, and the expanded
 //! parent is copied into a reused buffer too, so only novel states
 //! allocate (DESIGN.md §2).
 //!
@@ -52,13 +53,14 @@
 
 use crate::checkpoint::{self, CheckpointOpts, ViolationRec};
 use crate::engine::{Note, StopReason};
-use crate::fxhash::{CanonicalFingerprint, Fp128, FxHashMap, IdBucket};
-use crate::por::{self, ThreadMask};
+use crate::expand::{count_dup, Expansion, Gate, Kernel, Key};
+use crate::fxhash::{Fp128, FxHashMap, IdBucket};
+use crate::por::ThreadMask;
 use crate::sym;
 use rc11_analyze::SymmetrySpec;
-use rc11_core::{CanonPerms, Tid};
+use rc11_core::Tid;
 use rc11_lang::cfg::CfgProgram;
-use rc11_lang::machine::{for_each_thread_successor, thread_successors, Config, ObjectSemantics};
+use rc11_lang::machine::{thread_successors, Config, ObjectSemantics};
 use rc11_telemetry::{Counter, Telemetry};
 use std::sync::Arc;
 use std::time::Instant;
@@ -85,165 +87,106 @@ struct Node {
 }
 
 /// The visited index shared by the sequential explorer and the sequential
-/// outline checker: either the fingerprint → arena-ids map (default) or
-/// the legacy materialised-canonical key map. The index never owns the
-/// interned configurations — callers keep them in an arena and hand
-/// lookups an `interned(id)` accessor — so each canonical configuration
-/// is stored exactly once, whatever the arena's element type.
+/// outline checker: canonical fingerprint → arena ids. The index never
+/// owns the interned configurations — callers keep them in an arena and
+/// hand lookups an `interned(id)` accessor — so each canonical
+/// configuration is stored exactly once, whatever the arena's element
+/// type.
 ///
 /// The optional telemetry sink is injected at construction so dedup
 /// events — dup hits, symmetry-orbit folds, confirmed fingerprint
 /// collisions, interned states — are tallied where they happen, without
 /// threading a sink through every probe/commit signature.
 pub(crate) struct VisitedIndex {
-    mode: IndexMode,
+    map: FxHashMap<Fp128, IdBucket>,
     tel: Option<Arc<Telemetry>>,
-    /// The last fingerprint probe's canonical permutations, refilled in
-    /// place per probe and consumed by the matching `commit`.
-    perms: CanonPerms,
-}
-
-enum IndexMode {
-    Fp(FxHashMap<Fp128, IdBucket>),
-    Exact(FxHashMap<Config, u32>),
+    /// The last probe's key, consumed by the matching `commit`.
+    key: Key,
 }
 
 /// The outcome of probing a successor against the visited index: already
-/// interned, or novel with the probe work (the fingerprint — its
-/// permutations stay in the index — or the materialised canonical form)
-/// carried over for the insert. The `NovelExact` payload is boxed: it
-/// carries a whole materialised configuration and only exists on the
-/// legacy path.
+/// interned, or novel under this fingerprint.
 pub(crate) enum Probe {
     /// Already interned, under this arena id (POR duplicate hits consult
     /// the node's `explored` mask for the wake-up rule, after transporting
     /// the arriving masks through the carried group permutation).
     Dup(u32, Option<Vec<u8>>),
-    NovelFp(Fp128),
-    NovelExact(Box<Config>, Option<Vec<u8>>),
+    Novel(Fp128),
 }
 
 impl VisitedIndex {
     pub(crate) fn new(fingerprint: bool, tel: Option<Arc<Telemetry>>) -> VisitedIndex {
-        let mode = if fingerprint {
-            IndexMode::Fp(FxHashMap::default())
-        } else {
-            IndexMode::Exact(FxHashMap::default())
-        };
-        VisitedIndex { mode, tel, perms: CanonPerms::default() }
+        VisitedIndex { map: FxHashMap::default(), tel, key: Key::new(fingerprint) }
     }
 
-    /// Tally a duplicate probe hit (and, when the match went through a
-    /// non-identity group permutation, a symmetry-orbit fold).
-    #[inline]
-    fn count_dup(&self, sigma: &Option<Vec<u8>>) {
-        if let Some(t) = &self.tel {
-            t.incr(Counter::DupHits);
-            if sigma.as_deref().is_some_and(|s| !sym::is_identity(s)) {
-                t.incr(Counter::SymmetryFolds);
-            }
-        }
-    }
-
-    /// Probe a raw (non-canonical) successor. The fingerprint path never
-    /// materialises the canonical form: one hash walk, plus a
-    /// `canonical_eq` confirmation walk per candidate in the (almost
-    /// always empty or single-entry, matching) bucket — `interned` reads
-    /// the candidate's canonical configuration out of the caller's arena.
-    /// With a symmetry spec, the walk first installs the canonical group
-    /// permutation (`sym::sym_perms`), so the whole orbit probes to one
-    /// interned representative.
+    /// Probe a raw (non-canonical) successor: key it ([`Key`]) and confirm
+    /// each candidate in its (almost always empty or single-entry,
+    /// matching) bucket — `interned` reads the candidate's canonical
+    /// configuration out of the caller's arena. With a symmetry spec the
+    /// key installs the canonical group permutation first, so the whole
+    /// orbit probes to one interned representative.
     pub(crate) fn probe<'a>(
         &mut self,
         succ: &Config,
         symm: Option<&SymmetrySpec>,
         interned: impl Fn(u32) -> &'a Config,
     ) -> Probe {
-        match &self.mode {
-            IndexMode::Fp(map) => {
-                let perms = &mut self.perms;
-                succ.canonical_perms_into(perms);
-                if let Some(spec) = symm {
-                    perms.threads = spec.choose(succ, perms);
-                }
-                let fp = match symm {
-                    Some(spec) => sym::fingerprint_sym(succ, perms, spec),
-                    None => succ.fingerprint_with(perms),
-                };
-                if let Some(bucket) = map.get(&fp) {
-                    for &id in bucket.ids() {
-                        let eq = match symm {
-                            Some(spec) => succ.canonical_eq_sym(perms, spec.maps(), interned(id)),
-                            None => succ.canonical_eq_with(perms, interned(id)),
-                        };
-                        if eq {
-                            self.count_dup(&self.perms.threads);
-                            return Probe::Dup(id, self.perms.threads.clone());
-                        }
-                    }
-                }
-                Probe::NovelFp(fp)
-            }
-            IndexMode::Exact(map) => {
-                let (canon, sigma) = match symm {
-                    Some(spec) => {
-                        let perms = sym::sym_perms(spec, succ);
-                        (succ.canonical_sym(&perms, spec.maps()), perms.threads)
-                    }
-                    None => (succ.canonical(), None),
-                };
-                if let Some(&id) = map.get(&canon) {
-                    self.count_dup(&sigma);
-                    Probe::Dup(id, sigma)
-                } else {
-                    Probe::NovelExact(Box::new(canon), sigma)
+        let fp = self.key.compute(succ, symm);
+        if let Some(bucket) = self.map.get(&fp) {
+            for &id in bucket.ids() {
+                if self.key.matches(succ, symm, interned(id)) {
+                    count_dup(self.tel.as_deref(), self.key.sigma());
+                    return Probe::Dup(id, self.key.sigma().clone());
                 }
             }
         }
+        Probe::Novel(fp)
     }
 
-    /// Intern a probed-novel successor under id `new_id`, returning its
-    /// canonical configuration (materialised here, exactly once per
-    /// distinct state) for the caller to push into its arena, plus the
-    /// group permutation the successor was transported through (`None`
-    /// without symmetry or when the choice was the identity).
+    /// Intern the successor just probed novel under `fp` with id `new_id`,
+    /// returning its canonical configuration (materialised here, exactly
+    /// once per distinct state) for the caller to push into its arena,
+    /// plus the group permutation the successor was transported through
+    /// (`None` without symmetry or when the choice was the identity).
     pub(crate) fn commit(
         &mut self,
-        probe: Probe,
+        fp: Fp128,
         succ: &Config,
         symm: Option<&SymmetrySpec>,
         new_id: u32,
     ) -> (Config, Option<Vec<u8>>) {
-        let VisitedIndex { mode, tel, perms } = self;
-        if let Some(t) = tel {
+        if let Some(t) = &self.tel {
             t.incr(Counter::States);
         }
-        match (mode, probe) {
-            (IndexMode::Fp(map), Probe::NovelFp(fp)) => {
-                let canon = match symm {
-                    Some(spec) => succ.canonical_sym(perms, spec.maps()),
-                    None => succ.canonical_with(perms),
-                };
-                match map.entry(fp) {
-                    std::collections::hash_map::Entry::Occupied(mut e) => {
-                        // Two distinct canonical states share this Fp128:
-                        // a real, confirmed fingerprint collision.
-                        if let Some(t) = tel {
-                            t.incr(Counter::FpCollisions);
-                        }
-                        e.get_mut().push(new_id);
-                    }
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(IdBucket::One(new_id));
-                    }
+        let canon = self.key.canonical(succ, symm);
+        match self.map.entry(fp) {
+            std::collections::hash_map::Entry::Occupied(mut e) => {
+                // Two distinct canonical states share this Fp128: a real,
+                // confirmed fingerprint collision.
+                if let Some(t) = &self.tel {
+                    t.incr(Counter::FpCollisions);
                 }
-                (canon, perms.threads.take())
+                e.get_mut().push(new_id);
             }
-            (IndexMode::Exact(map), Probe::NovelExact(canon, sigma)) => {
-                map.insert((*canon).clone(), new_id);
-                (*canon, sigma)
+            std::collections::hash_map::Entry::Vacant(e) => {
+                e.insert(IdBucket::One(new_id));
             }
-            _ => unreachable!("probe/commit mode mismatch"),
+        }
+        (canon, self.key.perms.threads.take())
+    }
+
+    /// Intern a configuration known to be novel (the initial one, or a
+    /// checkpoint replay edge); `None` if it was already interned.
+    pub(crate) fn intern<'a>(
+        &mut self,
+        succ: &Config,
+        symm: Option<&SymmetrySpec>,
+        new_id: u32,
+        interned: impl Fn(u32) -> &'a Config,
+    ) -> Option<(Config, Option<Vec<u8>>)> {
+        match self.probe(succ, symm, interned) {
+            Probe::Dup(..) => None,
+            Probe::Novel(fp) => Some(self.commit(fp, succ, symm, new_id)),
         }
     }
 }
@@ -288,46 +231,15 @@ impl<'a> Explorer<'a> {
         let mut nodes: Vec<Node> = Vec::new();
         let mut buf: Vec<String> = Vec::new();
         let n_threads = self.prog.n_threads();
-        // POR's thread masks cap at 64 bits; larger programs fall back to
-        // the unreduced search (which iterates threads by index and
-        // supports any count `Tid` can name), flagged on the report.
-        let mut por = self.opts.por || self.opts.dpor;
-        if por && n_threads > 64 {
-            por = false;
-            report.note(Note::PorThreadCap { threads: n_threads });
-            if let Some(t) = &tel {
-                t.incr(Counter::CapDegradations);
-            }
-        }
-        let full = if por { por::full_mask(n_threads) } else { !0 };
-        let (spec, capped_orbit) = sym::active_spec(self.prog, self.opts.symmetry);
-        if let Some(orbit) = capped_orbit {
-            report.note(Note::SymmetryOrbitCap { orbit });
-            if let Some(t) = &tel {
-                t.incr(Counter::CapDegradations);
-            }
-        }
-        let symm = spec.as_ref();
-        let statics = por.then(|| rc11_analyze::conflict_matrix(self.prog));
-        // Persistent-set machinery (A7): `None` unless dpor is on *and*
-        // the program fits the 128-location future-footprint capacity —
-        // otherwise we degrade to sleep-sets-only, which is sound.
-        let pers = (por && self.opts.dpor)
-            .then(|| rc11_analyze::future_footprints(self.prog))
-            .flatten();
-        if por && self.opts.dpor && pers.is_none() {
-            report.note(Note::DporLocationCap);
-            if let Some(t) = &tel {
-                t.incr(Counter::CapDegradations);
-            }
-        }
+        let kernel = Kernel::new(self.prog, &self.opts);
+        report.notes = kernel.notes.clone();
+        let (por, symm) = (kernel.por, kernel.symm());
 
         // Resilience machinery: budgets are checked between work items (so
         // every stop lands on a clean item boundary and the report is a
         // sound prefix), checkpointing snapshots the discovery log at the
         // same boundaries.
-        let budget = self.opts.budget;
-        let deadline = budget.deadline.map(|d| Instant::now() + d);
+        let gate = Gate::new(&self.opts);
         let mut mem_bytes: u64 = 0;
         let ckpt = self.opts.checkpoint.clone();
         let sig = ckpt.as_ref().map(|_| self.checkpoint_sig());
@@ -414,9 +326,10 @@ impl<'a> Explorer<'a> {
 
         if !resumed {
             let init = Config::initial(self.prog).canonical();
-            let probe = index.probe(&init, symm, |id| &nodes[id as usize].cfg);
-            let (init, init_sigma) = index.commit(probe, &init, symm, 0);
-            let init_prop = pers.as_ref().map_or(full, |p| p.persistent_mask(init.pcs()));
+            let (init, init_sigma) = index
+                .intern(&init, symm, 0, |id| &nodes[id as usize].cfg)
+                .expect("the first state is novel");
+            let init_prop = kernel.proposal(&init);
             mem_bytes += init.approx_bytes() as u64;
             nodes.push(Node {
                 cfg: init.clone(),
@@ -445,29 +358,9 @@ impl<'a> Explorer<'a> {
         let mut scratch = cfg.clone();
         let mut pops: usize = 0;
         loop {
-            // Budget and cancellation gates, between work items: any trip
-            // stops on a clean boundary with a sound prefix report.
-            if self.opts.cancel.is_cancelled() {
-                report.stop.bump(StopReason::Cancelled);
+            if let Some(reason) = gate.tripped(|| report.transitions, || mem_bytes as usize) {
+                report.stop.bump(reason);
                 break;
-            }
-            if let Some(dl) = deadline {
-                if Instant::now() >= dl {
-                    report.stop.bump(StopReason::Deadline);
-                    break;
-                }
-            }
-            if let Some(cap) = budget.max_transitions {
-                if report.transitions >= cap {
-                    report.stop.bump(StopReason::TransitionCap);
-                    break;
-                }
-            }
-            if let Some(cap) = budget.max_mem_bytes {
-                if mem_bytes as usize >= cap {
-                    report.stop.bump(StopReason::MemBudget);
-                    break;
-                }
             }
             if let (Some(ck), Some(sig)) = (&ckpt, sig) {
                 if pops > 0 && pops.is_multiple_of(ck.every.max(1)) {
@@ -498,236 +391,142 @@ impl<'a> Explorer<'a> {
                 chaos.on_expansion();
             }
             // The parent is copied into a reused buffer (no allocation):
-            // the arena grows while its successors are committed.
+            // the arena grows while its successors are committed. Each
+            // successor is probed in the kernel's scratch buffer; only
+            // novel ones are copied out (canonicalised) into the arena.
             cfg.clone_from(&nodes[id as usize].cfg);
-            let mut fps = por.then(|| por::LazyFootprints::new(n_threads));
-            let mut any_succ = false;
-            let mut earlier: ThreadMask = 0;
-            for t in 0..n_threads {
-                if por && mask & (1u64 << t) == 0 {
-                    continue;
-                }
-                let child_sleep = match (&mut fps, &statics) {
-                    (Some(fps), Some(cm)) => {
-                        let cs = por::child_sleep_static(
-                            self.prog,
-                            &cfg,
-                            fps,
-                            cm.static_indep(),
-                            sleep | earlier,
-                            t,
-                        );
-                        earlier |= 1u64 << t;
-                        cs
-                    }
-                    _ => 0,
-                };
-                let tid = Tid(t as u8);
-                let mut si = 0u32;
-                // Each successor is stepped, fingerprinted and confirmed in
-                // the scratch buffer; only novel ones are copied out
-                // (canonicalised) into the arena.
-                let n_succ = for_each_thread_successor(
-                    self.prog,
-                    self.objs,
-                    &cfg,
-                    t,
-                    self.opts.step,
-                    &mut scratch,
-                    |succ| {
-                        let succ_idx = si;
-                        si += 1;
-                        // The successor's persistent set (full without dpor).
-                        // A pure function of the program counters, computed on
-                        // the raw successor and transported through σ with the
-                        // sleep mask — symmetric threads have equal future
-                        // footprints, so the remapped mask is exactly the
-                        // stored representative's persistent set.
-                        let pmask = pers.as_ref().map_or(full, |p| p.persistent_mask(succ.pcs()));
-                        if por {
-                            if let Some(tl) = &tel {
-                                // Reduction attribution, per successor: threads
-                                // slept out of the persistent proposal (A5) and
-                                // threads the persistent mask sheds whole (A7).
-                                // Both are zero when the reduction is off.
-                                tl.add(
-                                    Counter::SleepSetPrunes,
-                                    (pmask & child_sleep).count_ones() as u64,
-                                );
-                                tl.add(
-                                    Counter::PersistentSheds,
-                                    (full & !pmask).count_ones() as u64,
-                                );
-                            }
-                        }
-                        let probe = match index.probe(succ, symm, |id| &nodes[id as usize].cfg) {
-                            Probe::Dup(dup_id, dsigma) => {
-                                if por {
-                                    // Wake-up rule: threads this arrival would
-                                    // explore but no earlier arrival queued —
-                                    // with the proposal transported into the
-                                    // stored state's thread numbering first.
-                                    // The queued item carries the arrival's
-                                    // true sleep set: under dpor `full &
-                                    // !prop` would unsoundly sleep the merely
-                                    // postponed outside-persistent threads.
-                                    let (prop, slp) = match &dsigma {
-                                        Some(sg) => (
-                                            sym::remap_mask(pmask & !child_sleep, sg),
-                                            sym::remap_mask(child_sleep, sg),
-                                        ),
-                                        None => (pmask & !child_sleep, child_sleep),
-                                    };
-                                    let missing = prop & !nodes[dup_id as usize].explored;
-                                    if missing != 0 {
-                                        nodes[dup_id as usize].explored |= missing;
-                                        frontier.push((dup_id, missing, slp, false));
+            let explored = nodes[id as usize].explored;
+            let expansion = kernel.expand(
+                self.objs,
+                &cfg,
+                mask,
+                sleep,
+                first,
+                explored,
+                &mut scratch,
+                |tid, succ_idx, succ, prop, slp| {
+                    let fp = match index.probe(succ, symm, |id| &nodes[id as usize].cfg) {
+                        Probe::Dup(dup_id, dsigma) => {
+                            if por {
+                                // Wake-up rule: threads this arrival would
+                                // explore but no earlier arrival queued —
+                                // with the proposal transported into the
+                                // stored state's thread numbering first.
+                                // The queued item carries the arrival's
+                                // true sleep set: under dpor `full & !prop`
+                                // would unsoundly sleep the merely
+                                // postponed outside-persistent threads.
+                                let (prop, slp) = match &dsigma {
+                                    Some(sg) => {
+                                        (sym::remap_mask(prop, sg), sym::remap_mask(slp, sg))
                                     }
+                                    None => (prop, slp),
+                                };
+                                let missing = prop & !nodes[dup_id as usize].explored;
+                                if missing != 0 {
+                                    nodes[dup_id as usize].explored |= missing;
+                                    frontier.push((dup_id, missing, slp, false));
                                 }
-                                return;
                             }
-                            novel => novel,
-                        };
-                        if nodes.len() >= self.opts.max_states {
-                            report.stop.bump(StopReason::StateCap);
                             return;
                         }
-                        let new_id = nodes.len() as u32;
-                        let (canon, sigma) = index.commit(probe, succ, symm, new_id);
-                        mem_bytes += canon.approx_bytes() as u64;
-                        // The explored/sleep masks live in the stored state's
-                        // numbering: transport proposal and sleep through σ.
-                        let (prop, slp) = match (&sigma, por) {
-                            (Some(sg), true) => (
-                                sym::remap_mask(pmask & !child_sleep, sg),
-                                sym::remap_mask(child_sleep, sg),
-                            ),
-                            _ => (pmask & !child_sleep, child_sleep),
-                        };
-                        check(&canon, &mut buf);
-                        for what in buf.drain(..) {
-                            if ckpt.is_some() {
-                                viol_recs.push(ViolationRec {
-                                    what: what.clone(),
-                                    node: new_id,
-                                    pi: None,
-                                });
-                            }
-                            report.violations.push(Violation {
-                                what,
-                                config: canon.clone(),
-                                trace: self.opts.record_traces.then(|| match symm {
-                                    Some(spec) => reconstruct_trace_sym(
-                                        &nodes,
-                                        id,
-                                        tid,
-                                        &sigma,
-                                        &canon,
-                                        (0..n_threads as u8).collect(),
-                                        spec,
-                                    ),
-                                    None => reconstruct_trace(&nodes, id, tid, &canon),
-                                }),
+                        Probe::Novel(fp) => fp,
+                    };
+                    if nodes.len() >= self.opts.max_states {
+                        report.stop.bump(StopReason::StateCap);
+                        return;
+                    }
+                    let new_id = nodes.len() as u32;
+                    let (canon, sigma) = index.commit(fp, succ, symm, new_id);
+                    mem_bytes += canon.approx_bytes() as u64;
+                    // The explored/sleep masks live in the stored state's
+                    // numbering: transport proposal and sleep through σ.
+                    let (prop, slp) = match (&sigma, por) {
+                        (Some(sg), true) => (sym::remap_mask(prop, sg), sym::remap_mask(slp, sg)),
+                        _ => (prop, slp),
+                    };
+                    check(&canon, &mut buf);
+                    for what in buf.drain(..) {
+                        if ckpt.is_some() {
+                            viol_recs.push(ViolationRec {
+                                what: what.clone(),
+                                node: new_id,
+                                pi: None,
                             });
                         }
-                        // Under symmetry the check must see every state of the
-                        // orbit, not just the representative: observation
-                        // tuples and invariants may distinguish thread
-                        // identities the reduction just modded out.
-                        if let Some(spec) = symm {
-                            for (pi, member) in sym::orbit_members(spec, &canon) {
-                                check(&member, &mut buf);
-                                for what in buf.drain(..) {
-                                    if ckpt.is_some() {
-                                        viol_recs.push(ViolationRec {
-                                            what: what.clone(),
-                                            node: new_id,
-                                            pi: Some(pi.clone()),
-                                        });
-                                    }
-                                    report.violations.push(Violation {
-                                        what,
-                                        config: member.clone(),
-                                        trace: self.opts.record_traces.then(|| {
-                                            reconstruct_trace_sym(
-                                                &nodes, id, tid, &sigma, &canon, pi.clone(), spec,
-                                            )
-                                        }),
+                        report.violations.push(Violation {
+                            what,
+                            config: canon.clone(),
+                            trace: self.opts.record_traces.then(|| match symm {
+                                Some(spec) => reconstruct_trace_sym(
+                                    &nodes,
+                                    id,
+                                    tid,
+                                    &sigma,
+                                    &canon,
+                                    (0..n_threads as u8).collect(),
+                                    spec,
+                                ),
+                                None => reconstruct_trace(&nodes, id, tid, &canon),
+                            }),
+                        });
+                    }
+                    // Under symmetry the check must see every state of the
+                    // orbit, not just the representative: observation
+                    // tuples and invariants may distinguish thread
+                    // identities the reduction just modded out.
+                    if let Some(spec) = symm {
+                        for (pi, member) in sym::orbit_members(spec, &canon) {
+                            check(&member, &mut buf);
+                            for what in buf.drain(..) {
+                                if ckpt.is_some() {
+                                    viol_recs.push(ViolationRec {
+                                        what: what.clone(),
+                                        node: new_id,
+                                        pi: Some(pi.clone()),
                                     });
                                 }
+                                report.violations.push(Violation {
+                                    what,
+                                    config: member.clone(),
+                                    trace: self.opts.record_traces.then(|| {
+                                        reconstruct_trace_sym(
+                                            &nodes, id, tid, &sigma, &canon, pi.clone(), spec,
+                                        )
+                                    }),
+                                });
                             }
                         }
-                        nodes.push(Node {
-                            cfg: canon,
-                            parent: Some((id, tid)),
-                            explored: prop,
-                            sigma,
-                            succ_idx,
-                        });
-                        frontier.push((new_id, prop, slp, true));
-                    },
-                );
-                report.transitions += n_succ;
-                if let Some(tl) = &tel {
-                    tl.add(Counter::Transitions, n_succ as u64);
-                }
-                any_succ |= n_succ > 0;
-            }
-            if !any_succ {
-                // The expanded threads produced nothing. Only a *first*
-                // visit may classify the state as terminal, and only after
-                // probing the threads it arrived asleep (a fully slept
-                // configuration has successors — all covered elsewhere —
-                // and is not terminal; see `por::has_any_successor` for
-                // why the probe stays out of the transition count).
-                // Without POR, `mask` is full and this probes nothing.
-                if first
-                    && !por::has_any_successor(
-                        self.prog,
-                        self.objs,
-                        &cfg,
-                        full & !mask,
-                        self.opts.step,
-                        &mut scratch,
-                    )
-                {
-                    if cfg.terminated(self.prog) {
-                        if ckpt.is_some() {
-                            term_ids.push(id);
-                        }
-                        report.terminated.push(cfg.clone());
-                    } else {
-                        if ckpt.is_some() {
-                            dead_ids.push(id);
-                        }
-                        report.deadlocked.push(cfg.clone());
                     }
-                } else {
-                    // Retry rule (dpor): every expanded thread was blocked
-                    // — a persistent member stuck on a lock acquire, say —
-                    // but the state is not terminal. Persistence cannot
-                    // promise an outside thread will unblock a member
-                    // (outsiders never conflict with members' futures), so
-                    // grow the expansion to every non-slept thread never
-                    // queued here. Slept threads stay out: their steps are
-                    // covered from a sibling state (the A5 argument).
-                    // Without dpor `explored` already covers `full &
-                    // !sleep`, so `rest` is zero and nothing changes.
-                    let rest = full & !sleep & !nodes[id as usize].explored;
-                    if rest != 0
-                        && por::has_any_successor(
-                            self.prog,
-                            self.objs,
-                            &cfg,
-                            rest,
-                            self.opts.step,
-                            &mut scratch,
-                        )
-                    {
-                        nodes[id as usize].explored |= rest;
-                        frontier.push((id, rest, sleep, false));
+                    nodes.push(Node {
+                        cfg: canon,
+                        parent: Some((id, tid)),
+                        explored: prop,
+                        sigma,
+                        succ_idx,
+                    });
+                    frontier.push((new_id, prop, slp, true));
+                },
+            );
+            match expansion {
+                Expansion::Stepped(n) => report.transitions += n,
+                Expansion::Terminated => {
+                    if ckpt.is_some() {
+                        term_ids.push(id);
                     }
+                    report.terminated.push(cfg.clone());
                 }
+                Expansion::Deadlocked => {
+                    if ckpt.is_some() {
+                        dead_ids.push(id);
+                    }
+                    report.deadlocked.push(cfg.clone());
+                }
+                Expansion::Retry(rest) => {
+                    nodes[id as usize].explored |= rest;
+                    frontier.push((id, rest, sleep, false));
+                }
+                Expansion::Empty => {}
             }
             // Past the state cap every further expansion can only re-count
             // transitions of states we will drop anyway — stop the walk.
@@ -810,8 +609,9 @@ impl<'a> Explorer<'a> {
             _ => return Err("stale or corrupt checkpoint ignored (bad root)".into()),
         };
         let init = Config::initial(self.prog).canonical();
-        let probe = index.probe(&init, symm, |id| &nodes[id as usize].cfg);
-        let (init, init_sigma) = index.commit(probe, &init, symm, 0);
+        let (init, init_sigma) = index
+            .intern(&init, symm, 0, |id| &nodes[id as usize].cfg)
+            .expect("the first state is novel");
         nodes.push(Node {
             cfg: init,
             parent: None,
@@ -829,13 +629,11 @@ impl<'a> Explorer<'a> {
             let Some(succ) = succs.into_iter().nth(rec.succ_idx as usize) else {
                 return Err("stale or corrupt checkpoint ignored (replay diverged)".into());
             };
-            let probe = match index.probe(&succ, symm, |id| &nodes[id as usize].cfg) {
-                Probe::Dup(..) => {
-                    return Err("stale or corrupt checkpoint ignored (duplicate edge)".into())
-                }
-                novel => novel,
+            let Some((canon, sigma)) =
+                index.intern(&succ, symm, k as u32, |id| &nodes[id as usize].cfg)
+            else {
+                return Err("stale or corrupt checkpoint ignored (duplicate edge)".into());
             };
-            let (canon, sigma) = index.commit(probe, &succ, symm, k as u32);
             nodes.push(Node {
                 cfg: canon,
                 parent: Some((rec.parent, Tid(rec.tid))),

@@ -15,6 +15,10 @@
 //! * [`checkpoint`] — replay-log checkpoint/resume for the sequential
 //!   explorer (`rc11 run --checkpoint`): resumed runs report
 //!   bit-identically to uninterrupted ones;
+//! * `expand` (internal) — the expansion kernel both engines and the
+//!   sequential outline checker share: reduction setup, the per-item
+//!   thread loop, terminal classification, the budget gate and the
+//!   successor key;
 //! * [`explore::Explorer`] — sequential exhaustive search over canonical configurations
 //!   with invariant checking, terminal-outcome collection and counterexample
 //!   traces — the reference oracle for the differential suite;
@@ -55,6 +59,7 @@ pub mod engine;
 pub mod fuzz;
 pub mod gen;
 pub mod explore;
+pub(crate) mod expand;
 pub mod fxhash;
 pub mod outline_check;
 pub mod parallel;
@@ -80,7 +85,6 @@ pub use fxhash::{CanonicalFingerprint, Fp128, Fx128Hasher};
 pub use outline_check::{
     check_outline, check_outline_with, OgClass, OutlineKind, OutlineReport, OutlineViolation,
 };
-pub use parallel::{par_explore, ShardedFpMap, ShardedMap, ShardedSet};
 pub use random::{random_walk, sample_terminals, SampleError};
 pub use request::{option_words, CheckParams, CheckResponse, CheckService, Served, StatsSnapshot};
 pub use telemetry::{read_trace, snapshot_from_json, snapshot_json, TraceStats, TraceWriter};

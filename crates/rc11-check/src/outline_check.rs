@@ -24,16 +24,15 @@
 //! (interference > local > inherited > initial).
 
 use crate::engine::{Engine, ExploreOptions, Note, StopReason};
+use crate::expand::{Expansion, Gate, Kernel};
 use crate::explore::{Probe, VisitedIndex};
 use crate::fxhash::FxHashMap;
-use crate::parallel::par_walk;
 use parking_lot::Mutex;
 use rc11_assert::{EvalCtx, Pred, ProofOutline};
 use rc11_core::Tid;
 use rc11_lang::cfg::CfgProgram;
-use rc11_lang::machine::{successors, Config, ObjectSemantics};
+use rc11_lang::machine::{Config, ObjectSemantics};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
 
 /// Owicki–Gries classification of a violated annotation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -237,7 +236,7 @@ pub fn check_outline(
     outline: &ProofOutline,
     opts: &ExploreOptions,
 ) -> OutlineReport {
-    seq_check_outline(prog, objs, outline, opts)
+    seq_check_outline(prog, objs, outline, &unreduced(opts))
 }
 
 /// Check `outline` against the full reachable space of `prog` under the
@@ -246,7 +245,8 @@ pub fn check_outline(
 /// (kind, configuration) → strongest-class violation map; only `mover`
 /// tie-breaks and violation order may differ in the parallel engine.
 ///
-/// [`ExploreOptions::por`] is ignored (cleared) here: Owicki–Gries
+/// [`ExploreOptions::por`], `dpor` and `symmetry` are ignored (cleared)
+/// here, on either engine: Owicki–Gries
 /// classification is a property of *edges* — interference vs inherited
 /// depends on which thread moved into the violating configuration over
 /// which incoming edge — and sleep-set reduction prunes exactly edges
@@ -260,10 +260,23 @@ pub fn check_outline_with(
     opts: &ExploreOptions,
     engine: &Engine,
 ) -> OutlineReport {
-    let opts = ExploreOptions { por: false, symmetry: false, ..opts.clone() };
+    let opts = unreduced(opts);
     match engine {
         Engine::Sequential => seq_check_outline(prog, objs, outline, &opts),
         Engine::Parallel { workers } => par_check_outline(prog, objs, outline, &opts, *workers),
+    }
+}
+
+/// The options an outline check runs with: every reduction off (see
+/// [`check_outline_with`]) and no parent pointers — violations carry their
+/// mover, not a trace.
+fn unreduced(opts: &ExploreOptions) -> ExploreOptions {
+    ExploreOptions {
+        por: false,
+        dpor: false,
+        symmetry: false,
+        record_traces: false,
+        ..opts.clone()
     }
 }
 
@@ -296,11 +309,12 @@ fn seq_check_outline(
     let annots = Annots::new(prog, outline);
     let mut recorder = Recorder::default();
     let mut report = OutlineReport::default();
-    let deadline = opts.budget.deadline.map(|d| Instant::now() + d);
+    let gate = Gate::new(opts);
+    let kernel = Kernel::new(prog, opts);
     let mut mem_bytes: usize = 0;
 
     // The interned canonical configurations; frontier entries index it.
-    // Deduplication reuses the explorer's two-mode visited index
+    // Deduplication reuses the explorer's visited index
     // (`crate::explore::VisitedIndex`) over this arena.
     let mut arena: Vec<Config> = Vec::new();
     let mut index = VisitedIndex::new(opts.fingerprint, opts.telemetry.clone());
@@ -312,87 +326,63 @@ fn seq_check_outline(
         recorder.record(kind, &init, OgClass::Initial, None);
     }
     mem_bytes += init.approx_bytes();
-    let probe = index.probe(&init, None, |id| &arena[id as usize]);
-    arena.push(index.commit(probe, &init, None, 0).0);
+    let (canon, _) =
+        index.intern(&init, None, 0, |_| unreachable!()).expect("the first state is novel");
+    arena.push(canon);
     let mut frontier: Vec<u32> = vec![0];
+    // Reused buffers: the configuration being expanded and the successor
+    // being built.
+    let mut cfg = init.clone();
+    let mut scratch = init;
 
     while let Some(id) = frontier.pop() {
-        // Budget and cancellation gates, between work items — identical to
-        // the explorer's (`crate::explore`): any trip stops on a clean
-        // boundary with a sound prefix report.
-        if opts.cancel.is_cancelled() {
-            report.stop.bump(StopReason::Cancelled);
+        if let Some(reason) = gate.tripped(|| report.transitions, || mem_bytes) {
+            report.stop.bump(reason);
             break;
         }
-        if deadline.is_some_and(|dl| Instant::now() >= dl) {
-            report.stop.bump(StopReason::Deadline);
-            break;
-        }
-        if opts.budget.max_transitions.is_some_and(|cap| report.transitions >= cap) {
-            report.stop.bump(StopReason::TransitionCap);
-            break;
-        }
-        if opts.budget.max_mem_bytes.is_some_and(|cap| mem_bytes >= cap) {
-            report.stop.bump(StopReason::MemBudget);
-            break;
-        }
-        let cfg = arena[id as usize].clone();
-        let succs = successors(prog, objs, &cfg, opts.step);
-        report.transitions += succs.len();
-        if succs.is_empty() {
-            if cfg.terminated(prog) {
-                report.terminated += 1;
-            } else {
-                report.deadlocked += 1;
-            }
-            continue;
-        }
-        for (tid, succ) in succs {
-            // Classify per edge, visited or not — on the raw successor
-            // (evaluation is canonicalisation-invariant, see
-            // `debug_assert_failures_invariant`).
-            let (fails, checks) = annots.failures(&succ);
-            report.checks += checks;
-            let probe = match index.probe(&succ, None, |id| &arena[id as usize]) {
-                Probe::Dup(..) => {
-                    if !fails.is_empty() {
-                        // Rare: a failing duplicate edge still needs the
-                        // canonical form as the recorder's dedup key.
-                        let canon = succ.canonical();
-                        debug_assert_failures_invariant(&annots, &fails, &canon);
-                        for (kind, owner) in fails {
-                            let class = annots.classify(&kind, owner, tid, &cfg);
-                            recorder.record(kind, &canon, class, Some(tid));
-                        }
+        cfg.clone_from(&arena[id as usize]);
+        // Unreduced, every thread is expanded and every edge classified.
+        let expansion =
+            kernel.expand(objs, &cfg, !0, 0, true, !0, &mut scratch, |tid, _, succ, _, _| {
+                // Classify per edge, visited or not — on the raw successor
+                // (evaluation is canonicalisation-invariant, see
+                // `debug_assert_failures_invariant`).
+                let (fails, checks) = annots.failures(succ);
+                report.checks += checks;
+                let novel = match index.probe(succ, None, |id| &arena[id as usize]) {
+                    Probe::Novel(fp) if arena.len() < opts.max_states => Some(fp),
+                    Probe::Novel(_) => {
+                        report.stop.bump(StopReason::StateCap);
+                        None
                     }
-                    continue;
+                    Probe::Dup(..) => None,
+                };
+                if let Some(fp) = novel {
+                    let new_id = arena.len() as u32;
+                    arena.push(index.commit(fp, succ, None, new_id).0);
+                    mem_bytes += arena[new_id as usize].approx_bytes();
+                    frontier.push(new_id);
                 }
-                novel => novel,
-            };
-            if arena.len() >= opts.max_states {
-                report.stop.bump(StopReason::StateCap);
                 if !fails.is_empty() {
-                    let canon = succ.canonical();
+                    // The recorder dedups on canonical identity: a novel
+                    // successor's is interned; the (rare) failing duplicate or
+                    // capped edge materialises it here.
+                    let canon = match novel {
+                        Some(_) => arena.last().expect("just interned").clone(),
+                        None => succ.canonical(),
+                    };
                     debug_assert_failures_invariant(&annots, &fails, &canon);
                     for (kind, owner) in fails {
                         let class = annots.classify(&kind, owner, tid, &cfg);
                         recorder.record(kind, &canon, class, Some(tid));
                     }
                 }
-                continue;
-            }
-            let new_id = arena.len() as u32;
-            arena.push(index.commit(probe, &succ, None, new_id).0);
-            mem_bytes += arena[new_id as usize].approx_bytes();
-            if !fails.is_empty() {
-                let canon = &arena[new_id as usize];
-                debug_assert_failures_invariant(&annots, &fails, canon);
-                for (kind, owner) in fails {
-                    let class = annots.classify(&kind, owner, tid, &cfg);
-                    recorder.record(kind, canon, class, Some(tid));
-                }
-            }
-            frontier.push(new_id);
+            });
+        match expansion {
+            Expansion::Stepped(n) => report.transitions += n,
+            Expansion::Terminated => report.terminated += 1,
+            Expansion::Deadlocked => report.deadlocked += 1,
+            Expansion::Retry(_) | Expansion::Empty => {}
         }
     }
     // A cancellation that raced the final items must still be reported: a
@@ -405,10 +395,10 @@ fn seq_check_outline(
     report
 }
 
-/// The parallel outline checker: the shared batched work-stealing walk of
-/// [`crate::parallel`] (`par_walk`), with every generated edge classified
-/// Owicki–Gries style. Annotation evaluation (the expensive part) happens
-/// outside any lock; only violation recording serialises through a mutex.
+/// The parallel outline checker: the batched work-stealing walk of
+/// [`crate::parallel`], with every generated edge classified Owicki–Gries
+/// style. Annotation evaluation (the expensive part) happens outside any
+/// lock; only violation recording serialises through a mutex.
 fn par_check_outline(
     prog: &CfgProgram,
     objs: &(dyn ObjectSemantics + Sync),
@@ -420,8 +410,7 @@ fn par_check_outline(
     let recorder: Mutex<Recorder> = Mutex::new(Recorder::default());
     let checks = AtomicUsize::new(0);
 
-    // The walk's `on_novel` fires for the initial configuration too, but
-    // initial failures are classified `Initial` (no incoming edge), which
+    // Initial failures are classified `Initial` (no incoming edge), which
     // only the initial configuration gets — so handle it here and let
     // `on_edge` cover everything else.
     let init = Config::initial(prog).canonical();
@@ -431,44 +420,36 @@ fn par_check_outline(
         recorder.lock().record(kind, &init, OgClass::Initial, None);
     }
 
-    let (_visited, stats) = par_walk(
-        prog,
-        objs,
-        opts,
-        n_workers,
-        (),
-        |_, _| (),
-        |parent: &Config, tid, succ: &Config| {
-            // Classify per edge, visited or not — on the raw successor
-            // (evaluation is canonicalisation-invariant, see
-            // `debug_assert_failures_invariant`), so clean edges — the
-            // overwhelmingly common case — never materialise a canonical
-            // form here. Only failing edges canonicalise, because the
-            // recorder dedups on canonical identity.
-            let (fails, n) = annots.failures(succ);
-            checks.fetch_add(n, Ordering::Relaxed);
-            if !fails.is_empty() {
-                let canon = succ.canonical();
-                debug_assert_failures_invariant(&annots, &fails, &canon);
-                let mut rec = recorder.lock();
-                for (kind, owner) in fails {
-                    let class = annots.classify(&kind, owner, tid, parent);
-                    rec.record(kind, &canon, class, Some(tid));
-                }
+    let on_edge = |parent: &Config, tid: Tid, succ: &Config| {
+        // Classify per edge, visited or not — on the raw successor
+        // (evaluation is canonicalisation-invariant, see
+        // `debug_assert_failures_invariant`), so clean edges — the
+        // overwhelmingly common case — never materialise a canonical form
+        // here. Only failing edges canonicalise, because the recorder
+        // dedups on canonical identity.
+        let (fails, n) = annots.failures(succ);
+        checks.fetch_add(n, Ordering::Relaxed);
+        if !fails.is_empty() {
+            let canon = succ.canonical();
+            debug_assert_failures_invariant(&annots, &fails, &canon);
+            let mut rec = recorder.lock();
+            for (kind, owner) in fails {
+                let class = annots.classify(&kind, owner, tid, parent);
+                rec.record(kind, &canon, class, Some(tid));
             }
-        },
-        |_, _| {},
-    );
+        }
+    };
+    let report = crate::parallel::walk(prog, objs, opts, n_workers, on_edge, |_, _| {});
 
     OutlineReport {
-        states: stats.states,
-        transitions: stats.transitions,
+        states: report.states,
+        transitions: report.transitions,
         checks: checks.into_inner(),
-        terminated: stats.terminated.len(),
-        deadlocked: stats.deadlocked.len(),
+        terminated: report.terminated.len(),
+        deadlocked: report.deadlocked.len(),
         violations: recorder.into_inner().violations,
-        stop: stats.stop,
-        notes: stats.notes,
+        stop: report.stop,
+        notes: report.notes,
     }
 }
 

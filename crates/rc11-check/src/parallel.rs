@@ -2,7 +2,11 @@
 //!
 //! Work-stealing exhaustive search over crossbeam's `Injector`, rebuilt
 //! around batching, fingerprint-keyed deduplication and full counterexample
-//! traces:
+//! traces. Work items are expanded by the kernel the sequential explorer
+//! runs too ([`crate::expand::Kernel`]): sleep-set POR, persistent-set DPOR
+//! and its retry rule, terminal classification and the reduction telemetry
+//! live there, so this engine differs from the sequential one only in
+//! scheduling and in its store:
 //!
 //! * **Keep-local batched work distribution** — each worker drains a
 //!   private LIFO backlog and feeds novel successors straight back into
@@ -10,29 +14,18 @@
 //!   [`FLUSH_BATCH`] items (exported past [`KEEP_LOCAL`], or as soon as
 //!   another worker is starving), so steal traffic and queue-lock
 //!   contention scale with the *shared* frontier, not the state count.
-//! * **Sleep-set partial-order reduction** — with
-//!   [`ExploreOptions::por`], work items carry sleep-set/expansion masks
-//!   and the visited stores keep each state's `explored` mask for the
-//!   wake-up rule (see `crate::por`); POR prunes transitions only, never
-//!   states, so reports stay differential-tested-identical.
-//! * **Persistent-set DPOR** — with [`ExploreOptions::dpor`], each
-//!   state's expansion proposal further shrinks to its persistent set
-//!   ([`rc11_analyze::persistent`], ablation A7), items carry the true
-//!   arriving sleep set (no longer the proposal's complement — postponed
-//!   outside-persistent threads stay wakeable), and blocked persistent
-//!   sets re-submit through the store's wake-up rule (the retry rule in
-//!   `crate::explore`'s docs). Terminal/deadlock/violation multisets stay
-//!   oracle-identical; state and transition counts become upper-bounded
-//!   rather than pinned — arrival order decides which duplicate wakes
-//!   which mask.
 //! * **Fingerprint-keyed interned visited store** — the visited structure
-//!   is a [`ShardedFpMap`] keyed by zero-rebuild 128-bit canonical
-//!   fingerprints ([`crate::fxhash::Fp128`]): duplicate successors (the
+//!   is a [`ShardedFpMap`] keyed by 128-bit canonical fingerprints
+//!   ([`crate::fxhash::Fp128`]), keeping each state's `explored` mask for
+//!   the POR wake-up rule (see `crate::por`). Duplicate successors (the
 //!   vast majority) cost one hash walk plus a `canonical_eq` confirmation
 //!   walk instead of a full canonical rebuild plus a key clone, and each
-//!   canonical configuration is interned exactly once. The legacy
-//!   materialised-canonical [`ShardedMap`] path remains selectable with
-//!   [`ExploreOptions::fingerprint`]` = false` (ablation A4).
+//!   canonical configuration is interned exactly once. With
+//!   [`ExploreOptions::fingerprint`]` = false` the same store keys the
+//!   materialised canonical form instead ([`crate::expand::Key`], the A4
+//!   reference). Under dpor, terminal/deadlock/violation multisets stay
+//!   oracle-identical while state and transition counts are only bounded
+//!   above — arrival order decides which duplicate wakes which mask.
 //! * **Scratch-buffer filtering, batched double-checked insertion** —
 //!   each successor is built in the worker's reused scratch
 //!   configuration, fingerprinted there and dropped under its shard's
@@ -42,10 +35,10 @@
 //!   committed with one write-lock pass per touched shard, re-checking
 //!   membership under the write lock so racing workers agree on exactly
 //!   one winner per state.
-//! * **Mixed shard indexing** — shard selection feeds the key's hash
+//! * **Mixed shard indexing** — shard selection feeds the fingerprint
 //!   through an avalanche mixer ([`spread`]) instead of using a fixed bit
 //!   window, so stride-aligned or low-entropy key patterns still populate
-//!   every shard (property-tested in `tests/sharded_props.rs`).
+//!   every shard (property-tested below).
 //! * **Counterexample traces** — the visited store keeps
 //!   `(parent configuration, moving thread)` first-discovery parent
 //!   pointers next to each interned state (when
@@ -56,7 +49,7 @@
 //!   traces are *valid* paths from the initial configuration, not shortest
 //!   ones — in either engine.)
 //!
-//! Engine selection is [`crate::engine::choose_engine`]; the sequential
+//! [`crate::engine::Engine::Parallel`] runs [`walk`]; the sequential
 //! explorer remains the reference oracle, and `tests/engine_agreement.rs`
 //! (workspace root) proves state/transition/terminal/violation parity on
 //! the full litmus gallery and the outline programs at 1/2/4/8 workers.
@@ -64,20 +57,19 @@
 //! show exploration scaling.
 
 use crate::engine::{EngineReport, ExploreOptions, Note, StopReason, Violation};
-use crate::fxhash::{CanonicalFingerprint, Fp128, FxBuildHasher, FxHashMap, FxHashSet};
-use crate::por::{self, ThreadMask};
+use crate::expand::{count_dup, Expansion, Gate, Kernel, Key};
+use crate::fxhash::{CanonicalFingerprint, Fp128, FxHashMap};
+use crate::por::ThreadMask;
 use crate::sym;
 use crossbeam::deque::{Injector, Steal};
 use parking_lot::{Mutex, RwLock};
 use rc11_analyze::SymmetrySpec;
-use rc11_core::{CanonPerms, Tid};
+use rc11_core::Tid;
 use rc11_lang::cfg::CfgProgram;
-use rc11_lang::machine::{for_each_thread_successor, Config, ObjectSemantics};
+use rc11_lang::machine::{Config, ObjectSemantics};
 use rc11_telemetry::{Counter, Telemetry};
-use std::hash::{BuildHasher, Hash};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// The largest chunk of work items a worker exports to the injector at
@@ -95,211 +87,26 @@ pub const FLUSH_BATCH: usize = 64;
 /// tail while exporting the wide frontier other workers can fan out on.
 pub const KEEP_LOCAL: usize = 2 * FLUSH_BATCH;
 
-/// Avalanche-mix a hash into a shard index base: xor-fold and multiply so
-/// every input bit influences the low bits the mask keeps. Keys whose
-/// hashes differ only in high bits (stride-aligned patterns, low-entropy
-/// hash functions) still spread across shards.
+/// Avalanche-mix a key into a shard index base with the MurmurHash3
+/// 64-bit finaliser, so every input bit influences the low bits the mask
+/// keeps. Keys that differ only in a narrow or high bit-window
+/// (stride-aligned patterns, low-entropy hashes) still spread across
+/// shards; a single multiply round does not suffice for them.
 #[inline]
 fn spread(h: u64) -> usize {
-    let h = h ^ (h >> 33);
-    let h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    let h = (h ^ (h >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
+    let h = (h ^ (h >> 33)).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
     (h ^ (h >> 33)) as usize
 }
 
-/// A concurrent set sharded by hash, for visited-state deduplication.
-///
-/// `insert` is linearisable per value: the membership test is re-validated
-/// under the shard's write lock (double-checked locking), so for any value
-/// inserted concurrently by many threads exactly one caller observes
-/// `true`. [`len`](ShardedSet::len) and [`is_empty`](ShardedSet::is_empty)
-/// are **racy snapshots**: they lock the shards one at a time, so under
-/// concurrent insertion they return a value between the set's size when the
-/// call started and its size when the call finished — exact only at
-/// quiescence (e.g. after workers join).
-pub struct ShardedSet<T> {
-    shards: Vec<RwLock<FxHashSet<T>>>,
-    hasher: FxBuildHasher,
-    mask: usize,
-}
-
-impl<T: Hash + Eq> ShardedSet<T> {
-    /// A set with `2^shard_bits` shards.
-    pub fn new(shard_bits: u32) -> ShardedSet<T> {
-        let n = 1usize << shard_bits;
-        ShardedSet {
-            shards: (0..n).map(|_| RwLock::new(FxHashSet::default())).collect(),
-            hasher: FxBuildHasher::default(),
-            mask: n - 1,
-        }
-    }
-
-    #[inline]
-    fn shard_of(&self, v: &T) -> usize {
-        spread(self.hasher.hash_one(v)) & self.mask
-    }
-
-    /// Insert; returns true iff the value was new. A read-lock fast path
-    /// rejects known values; the slow path re-validates membership under
-    /// the write lock, so concurrent inserters of the same value elect
-    /// exactly one winner.
-    pub fn insert(&self, v: T) -> bool {
-        let shard = &self.shards[self.shard_of(&v)];
-        if shard.read().contains(&v) {
-            return false;
-        }
-        shard.write().insert(v)
-    }
-
-    /// Total elements across shards — a racy snapshot (see the type docs);
-    /// exact when no insert is in flight.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
-    }
-
-    /// True iff no elements — racy under concurrent insertion, like
-    /// [`len`](ShardedSet::len).
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.read().is_empty())
-    }
-
-    /// Per-shard element counts (racy snapshot), for occupancy diagnostics
-    /// and the shard-distribution property tests.
-    pub fn shard_occupancy(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.read().len()).collect()
-    }
-}
-
-/// A concurrent map sharded by key hash. The parallel engine stores visited
-/// configurations here, each mapped to its first-discovery parent pointer
-/// (`(parent configuration, moving thread)`), from which counterexample
-/// traces are reconstructed after the workers join.
-///
-/// Same concurrency contract as [`ShardedSet`]: inserts are double-checked
-/// under the shard write lock (exactly one winner per key, first value
-/// wins), while [`len`](ShardedMap::len)/[`is_empty`](ShardedMap::is_empty)
-/// are racy snapshots, exact only at quiescence.
-pub struct ShardedMap<K, V> {
-    shards: Vec<RwLock<FxHashMap<K, V>>>,
-    hasher: FxBuildHasher,
-    mask: usize,
-}
-
-impl<K: Hash + Eq, V> ShardedMap<K, V> {
-    /// A map with `2^shard_bits` shards.
-    pub fn new(shard_bits: u32) -> ShardedMap<K, V> {
-        let n = 1usize << shard_bits;
-        ShardedMap {
-            shards: (0..n).map(|_| RwLock::new(FxHashMap::default())).collect(),
-            hasher: FxBuildHasher::default(),
-            mask: n - 1,
-        }
-    }
-
-    #[inline]
-    fn shard_of(&self, k: &K) -> usize {
-        spread(self.hasher.hash_one(k)) & self.mask
-    }
-
-    /// Insert `k → v` if `k` is absent; returns true iff it was. Membership
-    /// is re-validated under the write lock, so racing inserters of one key
-    /// elect exactly one winner and the winner's value is kept.
-    pub fn insert(&self, k: K, v: V) -> bool {
-        let shard = &self.shards[self.shard_of(&k)];
-        if shard.read().contains_key(&k) {
-            return false;
-        }
-        match shard.write().entry(k) {
-            std::collections::hash_map::Entry::Occupied(_) => false,
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(v);
-                true
-            }
-        }
-    }
-
-    /// Batched insert: the items are grouped by shard so each touched shard
-    /// is locked once for a read-phase membership filter and (only if some
-    /// item survived) once for the write-phase insert, which re-checks
-    /// membership before committing. Returns the keys that were newly
-    /// inserted, in shard-grouped order; for duplicate keys within one
-    /// batch the first occurrence wins.
-    pub fn insert_batch(&self, items: Vec<(K, V)>) -> Vec<K>
-    where
-        K: Clone,
-    {
-        let mut tagged: Vec<(usize, Option<(K, V)>)> =
-            items.into_iter().map(|kv| (self.shard_of(&kv.0), Some(kv))).collect();
-        tagged.sort_by_key(|t| t.0);
-        let mut novel = Vec::new();
-        let mut i = 0;
-        while i < tagged.len() {
-            let s = tagged[i].0;
-            let mut j = i;
-            while j < tagged.len() && tagged[j].0 == s {
-                j += 1;
-            }
-            let shard = &self.shards[s];
-            {
-                let rd = shard.read();
-                for t in &mut tagged[i..j] {
-                    if rd.contains_key(&t.1.as_ref().expect("unconsumed item").0) {
-                        t.1 = None;
-                    }
-                }
-            }
-            if tagged[i..j].iter().any(|t| t.1.is_some()) {
-                let mut wr = shard.write();
-                for t in &mut tagged[i..j] {
-                    if let Some((k, v)) = t.1.take() {
-                        if !wr.contains_key(&k) {
-                            wr.insert(k.clone(), v);
-                            novel.push(k);
-                        }
-                    }
-                }
-            }
-            i = j;
-        }
-        novel
-    }
-
-    /// The value for `k`, cloned out from under the shard read lock.
-    pub fn get_cloned(&self, k: &K) -> Option<V>
-    where
-        V: Clone,
-    {
-        self.shards[self.shard_of(k)].read().get(k).cloned()
-    }
-
-    /// True iff `k` is present.
-    pub fn contains_key(&self, k: &K) -> bool {
-        self.shards[self.shard_of(k)].read().contains_key(k)
-    }
-
-    /// Total entries across shards — a racy snapshot (see the type docs);
-    /// exact when no insert is in flight.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
-    }
-
-    /// True iff no entries — racy under concurrent insertion, like
-    /// [`len`](ShardedMap::len).
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.read().is_empty())
-    }
-
-    /// Per-shard entry counts (racy snapshot), for occupancy diagnostics
-    /// and the shard-distribution property tests.
-    pub fn shard_occupancy(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.read().len()).collect()
-    }
-}
-
 /// One interned state in a [`ShardedFpMap`]: the canonical configuration
-/// (stored exactly once across the engine) and the caller's value.
+/// (stored exactly once across the engine), the caller's value, and the
+/// state's `explored` thread mask — the complement-union of every sleep
+/// set the state has been reached with (see `crate::por`).
 struct FpEntry<V> {
     cfg: Config,
     val: V,
+    explored: ThreadMask,
 }
 
 /// One shard of a [`ShardedFpMap`]: the fingerprint → interned-state map,
@@ -318,15 +125,10 @@ impl<V> Default for FpShard<V> {
 }
 
 impl<V> FpShard<V> {
-    /// Is a state with fingerprint `fp` whose canonical form matches
-    /// `is_cfg` present? `is_cfg` is handed the interned representative so
-    /// the caller chooses the cheapest equality check it can (zero-rebuild
-    /// `canonical_eq` for raw probes, plain `==` for canonical ones).
-    fn contains(&self, fp: Fp128, is_cfg: impl FnMut(&Config) -> bool) -> bool {
-        self.entry(fp, is_cfg).is_some()
-    }
-
     /// The interned entry for `fp` whose canonical form matches `is_cfg`.
+    /// `is_cfg` is handed the interned representative so the caller
+    /// chooses the equality check (the key's confirmation walk for raw
+    /// probes, plain `==` for canonical ones).
     fn entry(&self, fp: Fp128, mut is_cfg: impl FnMut(&Config) -> bool) -> Option<&FpEntry<V>> {
         let e = self.map.get(&fp)?;
         if is_cfg(&e.cfg) {
@@ -334,142 +136,34 @@ impl<V> FpShard<V> {
         }
         self.overflow.iter().find(|(ofp, oe)| *ofp == fp && is_cfg(&oe.cfg)).map(|(_, oe)| oe)
     }
+
+    fn len(&self) -> usize {
+        self.map.len() + self.overflow.len()
+    }
 }
 
-/// The fingerprint-keyed equivalent of [`ShardedMap`], specialised to the
-/// engines' visited structure: keys are [`Fp128`] canonical fingerprints,
-/// and each entry **interns** its canonical [`Config`] exactly once (the
-/// confirmation representative and, for the engine, the trace endpoint)
-/// next to the caller's value. Same sharding (avalanche-mixed index),
-/// locking (read-filter pass + double-checked write pass) and batching
-/// discipline as [`ShardedMap`]; same racy-snapshot contract for `len`.
-pub struct ShardedFpMap<V> {
+/// The parallel engine's visited store, sharded by canonical fingerprint.
+/// Each entry **interns** its canonical [`Config`] exactly once (the
+/// confirmation representative and the trace endpoint) next to the
+/// caller's value and the state's `explored` mask.
+///
+/// Insertion is two-phase: [`filter`](ShardedFpMap::filter) drops absorbed
+/// duplicates under a shard read lock, and
+/// [`commit`](ShardedFpMap::commit) re-validates membership under each
+/// touched shard's write lock (double-checked locking), so for a state
+/// committed concurrently by many workers exactly one observes it novel,
+/// and mask updates — wake-ups — happen under the same lock, so exactly
+/// one waker per missing thread. [`len`](ShardedFpMap::len) and
+/// [`shard_occupancy`](ShardedFpMap::shard_occupancy) are **racy
+/// snapshots**: they lock the shards one at a time, so they are exact only
+/// at quiescence (e.g. after the workers join).
+pub(crate) struct ShardedFpMap<V> {
     shards: Vec<RwLock<FpShard<V>>>,
     mask: usize,
 }
 
-impl<V> ShardedFpMap<V> {
-    /// A map with `2^shard_bits` shards.
-    pub fn new(shard_bits: u32) -> ShardedFpMap<V> {
-        let n = 1usize << shard_bits;
-        ShardedFpMap {
-            shards: (0..n).map(|_| RwLock::new(FpShard::default())).collect(),
-            mask: n - 1,
-        }
-    }
-
-    #[inline]
-    fn shard_of(&self, fp: Fp128) -> usize {
-        spread(fp.lo ^ fp.hi) & self.mask
-    }
-
-    /// Insert the (already canonical) initial configuration.
-    fn insert_init(&self, fp: Fp128, cfg: Config, val: V) {
-        let mut shard = self.shards[self.shard_of(fp)].write();
-        shard.map.insert(fp, FpEntry { cfg, val });
-    }
-
-    /// True iff a state canonically equal to the **raw** configuration
-    /// `succ` is interned; decided by fingerprint lookup plus a
-    /// zero-rebuild confirmation walk, never by materialising.
-    pub fn contains_state(&self, succ: &Config) -> bool {
-        let perms = succ.canonical_perms();
-        let fp = succ.fingerprint_with(&perms);
-        self.shards[self.shard_of(fp)]
-            .read()
-            .contains(fp, |cfg| succ.canonical_eq_with(&perms, cfg))
-    }
-
-    /// True iff the **canonical** configuration `canon` is interned.
-    fn contains_canon(&self, canon: &Config) -> bool {
-        let fp = canon.canonical_fingerprint();
-        self.shards[self.shard_of(fp)].read().contains(fp, |cfg| cfg == canon)
-    }
-
-    /// The value interned for the **canonical** configuration `canon`,
-    /// cloned out from under the shard read lock.
-    pub fn get_cloned(&self, canon: &Config) -> Option<V>
-    where
-        V: Clone,
-    {
-        let fp = canon.canonical_fingerprint();
-        self.shards[self.shard_of(fp)]
-            .read()
-            .entry(fp, |cfg| cfg == canon)
-            .map(|e| e.val.clone())
-    }
-
-    /// Total interned states — a racy snapshot like
-    /// [`ShardedMap::len`]; exact at quiescence.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| {
-            let s = s.read();
-            s.map.len() + s.overflow.len()
-        }).sum()
-    }
-
-    /// True iff no states are interned — racy like
-    /// [`ShardedFpMap::len`].
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| {
-            let s = s.read();
-            s.map.is_empty() && s.overflow.is_empty()
-        })
-    }
-
-    /// Per-shard interned-state counts (map + overflow; racy snapshot),
-    /// for occupancy diagnostics — exact at quiescence, like
-    /// [`ShardedFpMap::len`].
-    pub fn shard_occupancy(&self) -> Vec<usize> {
-        self.shards
-            .iter()
-            .map(|s| {
-                let s = s.read();
-                s.map.len() + s.overflow.len()
-            })
-            .collect()
-    }
-}
-
-/// A store value together with the state's `explored` thread mask — the
-/// complement-union of every sleep set the state has been reached with
-/// (see `crate::por`). Mask updates happen under the owning shard's write
-/// lock, so the "exactly one winner" insert contract extends to "exactly
-/// one waker per missing thread".
-#[derive(Clone)]
-pub(crate) struct Masked<V> {
-    val: V,
-    explored: ThreadMask,
-}
-
-/// A raw successor for the test-only batched insert: the configuration, the
-/// caller's value, the *explored-mask proposal* — the threads the arrival
-/// wants queued for expansion (`full` when POR is off, which makes
-/// wake-ups impossible; the persistent set minus the sleep set under
-/// dpor) — and the sleep set the successor inherits over this edge. The
-/// sleep travels separately because under dpor it is **not** the
-/// proposal's complement: threads outside the persistent set are merely
-/// postponed (wakeable by later arrivals), not slept.
-#[cfg(test)]
-type PorItem<V> = (Config, V, ThreadMask, ThreadMask);
-
-/// A novel insertion: the interned canonical configuration, its stored
-/// explored mask (= the proposal that won) and the winning arrival's
-/// sleep set.
-type PorNovel = (Config, ThreadMask, ThreadMask);
-
-/// A wake-up: an already-interned state (canonical), the threads newly
-/// added to its explored mask, and the arriving sleep set the
-/// re-expansion inherits.
-type PorWoken = (Config, ThreadMask, ThreadMask);
-
-/// Generic-key counterparts of [`PorNovel`]/[`PorWoken`] for the
-/// materialised-canonical store.
-type PorNovelK<K> = (K, ThreadMask, ThreadMask);
-type PorWokenK<K> = (K, ThreadMask, ThreadMask);
-
 /// A successor that survived the read-locked duplicate filter
-/// ([`VisitedStore::filter`]): novel, or a duplicate whose stored explored
+/// ([`ShardedFpMap::filter`]): novel, or a duplicate whose stored explored
 /// mask misses threads of its proposal. It carries its canonical form —
 /// materialised once, outside any lock — and its masks, already
 /// transported into representative numbering under symmetry. Duplicates
@@ -483,31 +177,73 @@ pub(crate) struct Survivor<V> {
     sleep: ThreadMask,
 }
 
-/// Tally a duplicate hit (and a symmetry-orbit fold when the match went
-/// through a non-identity group permutation).
-fn count_dup(tel: Option<&Telemetry>, sigma: &Option<Vec<u8>>) {
-    if let Some(t) = tel {
-        t.incr(Counter::DupHits);
-        if sigma.as_deref().is_some_and(|s| !sym::is_identity(s)) {
-            t.incr(Counter::SymmetryFolds);
+/// A committed survivor: the interned canonical configuration, the threads
+/// to expand there (a novel state's whole stored mask, or a woken
+/// duplicate's newly added threads) and the arriving sleep set the
+/// expansion inherits.
+type Queued = (Config, ThreadMask, ThreadMask);
+
+impl<V> ShardedFpMap<V> {
+    /// A map with `2^shard_bits` shards.
+    pub(crate) fn new(shard_bits: u32) -> ShardedFpMap<V> {
+        let n = 1usize << shard_bits;
+        ShardedFpMap {
+            shards: (0..n).map(|_| RwLock::new(FpShard::default())).collect(),
+            mask: n - 1,
         }
     }
-}
 
-impl<V> ShardedFpMap<Masked<V>> {
-    /// The read phase of POR-aware insertion for one **raw** successor,
-    /// with an optional thread-symmetry spec: fingerprint it (one
-    /// zero-rebuild walk, permutations computed into the caller's reused
-    /// `perms`) and, under the shard's read lock, drop it if an interned
-    /// state matches (`canonical_eq` confirmation) and already has every
-    /// thread of the proposal explored. Otherwise materialise its canonical
-    /// form — the symmetry-canonical one under a spec, with the proposal
-    /// and sleep transported through the item's group permutation `σ` when
-    /// `remap_masks` is set (POR only: full masks carry bits
-    /// `≥ n_threads` that `σ` cannot index) — and return it for
-    /// [`commit`](ShardedFpMap::commit). The read-phase drop is sound
-    /// because explored masks only ever grow: a duplicate absorbed under
-    /// the read lock stays absorbed. `val` is only called for survivors.
+    #[inline]
+    fn shard_of(&self, fp: Fp128) -> usize {
+        spread(fp.lo ^ fp.hi) & self.mask
+    }
+
+    /// Insert the (already canonical) initial configuration.
+    fn insert_init(&self, cfg: Config, val: V, explored: ThreadMask) {
+        let fp = cfg.canonical_fingerprint();
+        let mut shard = self.shards[self.shard_of(fp)].write();
+        shard.map.insert(fp, FpEntry { cfg, val, explored });
+    }
+
+    /// True iff the **canonical** configuration `canon`, fingerprinted
+    /// `fp`, is interned.
+    fn contains(&self, fp: Fp128, canon: &Config) -> bool {
+        self.shards[self.shard_of(fp)].read().entry(fp, |cfg| cfg == canon).is_some()
+    }
+
+    /// The value interned for the **canonical** configuration `canon`,
+    /// fingerprinted `fp`, cloned out from under the shard read lock.
+    fn get_cloned(&self, fp: Fp128, canon: &Config) -> Option<V>
+    where
+        V: Clone,
+    {
+        self.shards[self.shard_of(fp)].read().entry(fp, |cfg| cfg == canon).map(|e| e.val.clone())
+    }
+
+    /// Total interned states — a racy snapshot; exact at quiescence.
+    pub(crate) fn len(&self) -> usize {
+        self.shards.iter().map(|s| s.read().len()).sum()
+    }
+
+    /// Per-shard interned-state counts (map + overflow; racy snapshot),
+    /// for occupancy diagnostics — exact at quiescence, like
+    /// [`len`](ShardedFpMap::len).
+    pub(crate) fn shard_occupancy(&self) -> Vec<usize> {
+        self.shards.iter().map(|s| s.read().len()).collect()
+    }
+
+    /// The read phase of insertion for one **raw** successor: key it
+    /// (`key` keeps the permutations, with the symmetry choice under a
+    /// spec) and, under the shard's read lock, drop it if an interned
+    /// state matches and already has every thread of the proposal
+    /// explored. Otherwise materialise its canonical form — the
+    /// symmetry-canonical one under a spec, with the proposal and sleep
+    /// transported through the group permutation `σ` when `remap_masks`
+    /// is set (POR only: full masks carry bits `≥ n_threads` that `σ`
+    /// cannot index) — and return it for [`commit`](ShardedFpMap::commit).
+    /// The read-phase drop is sound because explored masks only ever grow:
+    /// a duplicate absorbed under the read lock stays absorbed. `val` is
+    /// only called for survivors.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn filter(
         &self,
@@ -516,55 +252,41 @@ impl<V> ShardedFpMap<Masked<V>> {
         mut sleep: ThreadMask,
         symm: Option<&SymmetrySpec>,
         remap_masks: bool,
-        perms: &mut CanonPerms,
+        key: &mut Key,
         val: impl FnOnce() -> V,
         tel: Option<&Telemetry>,
     ) -> Option<Survivor<V>> {
-        raw.canonical_perms_into(perms);
-        let fp = match symm {
-            Some(spec) => {
-                perms.threads = spec.choose(raw, perms);
-                if remap_masks {
-                    if let Some(sg) = &perms.threads {
-                        proposal = sym::remap_mask(proposal, sg);
-                        sleep = sym::remap_mask(sleep, sg);
-                    }
-                }
-                sym::fingerprint_sym(raw, perms, spec)
-            }
-            None => raw.fingerprint_with(perms),
-        };
+        let fp = key.compute(raw, symm);
+        if let (true, Some(sg)) = (remap_masks, key.sigma()) {
+            proposal = sym::remap_mask(proposal, sg);
+            sleep = sym::remap_mask(sleep, sg);
+        }
         {
             let rd = self.shards[self.shard_of(fp)].read();
-            let hit = rd.entry(fp, |cfg| match symm {
-                Some(spec) => raw.canonical_eq_sym(perms, spec.maps(), cfg),
-                None => raw.canonical_eq_with(perms, cfg),
-            });
-            if hit.is_some_and(|e| proposal & !e.val.explored == 0) {
-                count_dup(tel, &perms.threads);
+            let hit = rd.entry(fp, |cfg| key.matches(raw, symm, cfg));
+            if hit.is_some_and(|e| proposal & !e.explored == 0) {
+                count_dup(tel, key.sigma());
                 return None;
             }
         }
-        let canon = match symm {
-            Some(spec) => raw.canonical_sym(perms, spec.maps()),
-            None => raw.canonical_with(perms),
-        };
-        Some(Survivor { fp, canon, sigma: perms.threads.take(), val: val(), proposal, sleep })
+        let canon = key.canonical(raw, symm);
+        Some(Survivor { fp, canon, sigma: key.perms.threads.take(), val: val(), proposal, sleep })
     }
 
     /// The write phase: commit filtered survivors, grouped by shard so each
     /// touched shard is write-locked once, double-checking membership under
     /// the lock (racing workers, or an earlier duplicate in this very
-    /// batch). Novel states are interned; duplicates whose stored explored
-    /// mask misses threads of the incoming proposal are *woken*: the mask
-    /// grows under the write lock and the state is returned for partial
-    /// re-expansion. A full-mask proposal makes wake-ups impossible and
-    /// reduces this to plain insertion.
+    /// batch). Novel states are interned — the first value wins; duplicates
+    /// whose stored explored mask misses threads of the incoming proposal
+    /// are *woken*: the mask grows under the write lock and the state is
+    /// returned for partial re-expansion. A full-mask proposal makes
+    /// wake-ups impossible and reduces this to plain insertion. Returns
+    /// `(novel, woken)`.
     pub(crate) fn commit(
         &self,
         mut items: Vec<Survivor<V>>,
         tel: Option<&Telemetry>,
-    ) -> (Vec<PorNovel>, Vec<PorWoken>) {
+    ) -> (Vec<Queued>, Vec<Queued>) {
         items.sort_by_key(|t| self.shard_of(t.fp));
         let mut novel = Vec::new();
         let mut woken = Vec::new();
@@ -574,13 +296,12 @@ impl<V> ShardedFpMap<Masked<V>> {
             let mut wr = self.shards[s].write();
             let FpShard { map, overflow } = &mut *wr;
             while let Some(t) = items.next_if(|t| self.shard_of(t.fp) == s) {
+                let fresh =
+                    |t: Survivor<V>| FpEntry { cfg: t.canon, val: t.val, explored: t.proposal };
                 match map.entry(t.fp) {
                     std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(FpEntry {
-                            cfg: t.canon.clone(),
-                            val: Masked { val: t.val, explored: t.proposal },
-                        });
-                        novel.push((t.canon, t.proposal, t.sleep));
+                        novel.push((t.canon.clone(), t.proposal, t.sleep));
+                        e.insert(fresh(t));
                     }
                     std::collections::hash_map::Entry::Occupied(mut e) => {
                         let entry = if e.get().cfg == t.canon {
@@ -596,9 +317,9 @@ impl<V> ShardedFpMap<Masked<V>> {
                                 // Lost the insert race (or a same-batch
                                 // twin won): apply the wake-up rule.
                                 count_dup(tel, &t.sigma);
-                                let missing = t.proposal & !oe.val.explored;
+                                let missing = t.proposal & !oe.explored;
                                 if missing != 0 {
-                                    oe.val.explored |= missing;
+                                    oe.explored |= missing;
                                     woken.push((t.canon, missing, t.sleep));
                                 }
                             }
@@ -608,14 +329,8 @@ impl<V> ShardedFpMap<Masked<V>> {
                                 if let Some(tl) = tel {
                                     tl.incr(Counter::FpCollisions);
                                 }
-                                overflow.push((
-                                    t.fp,
-                                    FpEntry {
-                                        cfg: t.canon.clone(),
-                                        val: Masked { val: t.val, explored: t.proposal },
-                                    },
-                                ));
-                                novel.push((t.canon, t.proposal, t.sleep));
+                                novel.push((t.canon.clone(), t.proposal, t.sleep));
+                                overflow.push((t.fp, fresh(t)));
                             }
                         }
                     }
@@ -624,273 +339,23 @@ impl<V> ShardedFpMap<Masked<V>> {
         }
         (novel, woken)
     }
-
-    /// Batched POR-aware insert of raw successors: [`filter`] then
-    /// [`commit`](ShardedFpMap::commit).
-    ///
-    /// [`filter`]: ShardedFpMap::filter
-    #[cfg(test)]
-    pub(crate) fn insert_batch_por(
-        &self,
-        items: Vec<PorItem<V>>,
-    ) -> (Vec<PorNovel>, Vec<PorWoken>) {
-        let mut perms = CanonPerms::default();
-        let survivors = items
-            .into_iter()
-            .filter_map(|(raw, v, p, slp)| {
-                self.filter(&raw, p, slp, None, false, &mut perms, || v, None)
-            })
-            .collect();
-        self.commit(survivors, None)
-    }
 }
 
-impl<K: Hash + Eq + Clone, V> ShardedMap<K, Masked<V>> {
-    /// The materialised-canonical-key counterpart of
-    /// [`ShardedFpMap::insert_batch_por`]: same read-filter plus
-    /// double-checked write pass as [`ShardedMap::insert_batch`], with
-    /// duplicate hits applying the POR wake-up rule under the write lock.
-    /// This — not the plain `insert_batch` — is the exact-mode engine
-    /// path.
-    pub(crate) fn insert_batch_por(
-        &self,
-        items: Vec<(K, V, ThreadMask, ThreadMask)>,
-        tel: Option<&Telemetry>,
-    ) -> (Vec<PorNovelK<K>>, Vec<PorWokenK<K>>) {
-        struct Item<K, V> {
-            shard: usize,
-            /// `None` once dropped as an absorbed duplicate (or consumed).
-            kv: Option<(K, V)>,
-            proposal: ThreadMask,
-            sleep: ThreadMask,
-        }
-        let mut tagged: Vec<Item<K, V>> = items
-            .into_iter()
-            .map(|(k, v, proposal, sleep)| Item {
-                shard: self.shard_of(&k),
-                kv: Some((k, v)),
-                proposal,
-                sleep,
-            })
-            .collect();
-        tagged.sort_by_key(|t| t.shard);
-        let mut novel = Vec::new();
-        let mut woken = Vec::new();
-        let mut i = 0;
-        while i < tagged.len() {
-            let s = tagged[i].shard;
-            let mut j = i;
-            while j < tagged.len() && tagged[j].shard == s {
-                j += 1;
-            }
-            let shard = &self.shards[s];
-            {
-                let rd = shard.read();
-                for t in &mut tagged[i..j] {
-                    let k = &t.kv.as_ref().expect("unconsumed item").0;
-                    if let Some(e) = rd.get(k) {
-                        if t.proposal & !e.explored == 0 {
-                            if let Some(tl) = tel {
-                                tl.incr(Counter::DupHits);
-                            }
-                            t.kv = None; // absorbed: masks only grow
-                        }
-                    }
-                }
-            }
-            if tagged[i..j].iter().any(|t| t.kv.is_some()) {
-                let mut wr = shard.write();
-                for t in &mut tagged[i..j] {
-                    if let Some((k, v)) = t.kv.take() {
-                        match wr.entry(k) {
-                            std::collections::hash_map::Entry::Occupied(mut e) => {
-                                if let Some(tl) = tel {
-                                    tl.incr(Counter::DupHits);
-                                }
-                                let missing = t.proposal & !e.get().explored;
-                                if missing != 0 {
-                                    e.get_mut().explored |= missing;
-                                    woken.push((e.key().clone(), missing, t.sleep));
-                                }
-                            }
-                            std::collections::hash_map::Entry::Vacant(e) => {
-                                novel.push((e.key().clone(), t.proposal, t.sleep));
-                                e.insert(Masked { val: v, explored: t.proposal });
-                            }
-                        }
-                    }
-                }
-            }
-            i = j;
-        }
-        (novel, woken)
-    }
-}
-
-/// A visited entry's parent pointer: `None` for the initial configuration.
+/// A visited entry's parent pointer: `None` for the initial configuration
+/// (and for every state when traces are not recorded).
 type Parent = Option<(Config, Tid)>;
-
-/// The visited structure behind [`par_walk`], chosen by
-/// [`ExploreOptions::fingerprint`]: the fingerprint-keyed interned store
-/// (default) or the legacy map keyed by materialised canonical
-/// configurations (ablation A4's baseline). Both intern each canonical
-/// configuration exactly once — with its `explored` thread mask for the
-/// POR wake-up rule — and agree on every membership decision.
-pub(crate) struct VisitedStore<V> {
-    mode: StoreMode<V>,
-    /// Telemetry sink injected at construction, so dedup events (dup
-    /// hits, symmetry folds, confirmed collisions) are tallied inside the
-    /// batched insert paths without widening every signature.
-    tel: Option<Arc<Telemetry>>,
-}
-
-enum StoreMode<V> {
-    Fp(ShardedFpMap<Masked<V>>),
-    Exact(ShardedMap<Config, Masked<V>>),
-}
-
-impl<V: Clone> VisitedStore<V> {
-    fn new(fingerprint: bool, shard_bits: u32, tel: Option<Arc<Telemetry>>) -> VisitedStore<V> {
-        let mode = if fingerprint {
-            StoreMode::Fp(ShardedFpMap::new(shard_bits))
-        } else {
-            StoreMode::Exact(ShardedMap::new(shard_bits))
-        };
-        VisitedStore { mode, tel }
-    }
-
-    fn insert_init(&self, canon: Config, val: V, explored: ThreadMask) {
-        let val = Masked { val, explored };
-        match &self.mode {
-            StoreMode::Fp(m) => m.insert_init(canon.canonical_fingerprint(), canon, val),
-            StoreMode::Exact(m) => {
-                m.insert(canon, val);
-            }
-        }
-    }
-
-    /// Membership of a canonical configuration (used only on the rare
-    /// cap-hit path).
-    fn contains_canon(&self, canon: &Config) -> bool {
-        match &self.mode {
-            StoreMode::Fp(m) => m.contains_canon(canon),
-            StoreMode::Exact(m) => m.contains_key(canon),
-        }
-    }
-
-    /// The read phase of POR-aware insertion for one raw successor (see
-    /// [`ShardedFpMap::filter`]): `None` if it is an absorbed duplicate,
-    /// else a [`Survivor`] carrying its canonical form for
-    /// [`commit`](VisitedStore::commit). With a symmetry spec, keys are
-    /// symmetry-canonical (one interned representative per orbit) and —
-    /// under POR (`remap_masks`) — mask proposals are transported into
-    /// representative numbering. The exact backend materialises every
-    /// successor here and filters in `commit` — that is precisely the
-    /// per-successor rebuild the fingerprint path eliminates.
-    #[allow(clippy::too_many_arguments)]
-    fn filter(
-        &self,
-        raw: &Config,
-        proposal: ThreadMask,
-        sleep: ThreadMask,
-        symm: Option<&SymmetrySpec>,
-        remap_masks: bool,
-        perms: &mut CanonPerms,
-        val: impl FnOnce() -> V,
-    ) -> Option<Survivor<V>> {
-        let tel = self.tel.as_deref();
-        match &self.mode {
-            StoreMode::Fp(m) => m.filter(raw, proposal, sleep, symm, remap_masks, perms, val, tel),
-            StoreMode::Exact(_) => {
-                let (canon, sigma) = match symm {
-                    Some(spec) => {
-                        let perms = sym::sym_perms(spec, raw);
-                        (raw.canonical_sym(&perms, spec.maps()), perms.threads)
-                    }
-                    None => (raw.canonical(), None),
-                };
-                let (proposal, sleep) = match (&sigma, remap_masks) {
-                    (Some(sg), true) => (sym::remap_mask(proposal, sg), sym::remap_mask(sleep, sg)),
-                    _ => (proposal, sleep),
-                };
-                let fp = Fp128 { hi: 0, lo: 0 };
-                Some(Survivor { fp, canon, sigma, val: val(), proposal, sleep })
-            }
-        }
-    }
-
-    /// The write phase: intern filtered survivors with the POR wake-up
-    /// rule; returns the novel canonical configurations with their stored
-    /// explored masks plus any woken duplicates (see
-    /// [`ShardedFpMap::commit`]).
-    fn commit(&self, survivors: Vec<Survivor<V>>) -> (Vec<PorNovel>, Vec<PorWoken>) {
-        let tel = self.tel.as_deref();
-        match &self.mode {
-            StoreMode::Fp(m) => m.commit(survivors, tel),
-            StoreMode::Exact(m) => m.insert_batch_por(
-                survivors.into_iter().map(|t| (t.canon, t.val, t.proposal, t.sleep)).collect(),
-                tel,
-            ),
-        }
-    }
-
-    fn get_cloned(&self, canon: &Config) -> Option<V> {
-        match &self.mode {
-            StoreMode::Fp(m) => m.get_cloned(canon).map(|m| m.val),
-            StoreMode::Exact(m) => m.get_cloned(canon).map(|m| m.val),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match &self.mode {
-            StoreMode::Fp(m) => m.len(),
-            StoreMode::Exact(m) => m.len(),
-        }
-    }
-
-    /// Per-shard interned-state counts (exact at quiescence).
-    fn shard_occupancy(&self) -> Vec<usize> {
-        match &self.mode {
-            StoreMode::Fp(m) => m.shard_occupancy(),
-            StoreMode::Exact(m) => m.shard_occupancy(),
-        }
-    }
-}
 
 /// Rebuild the step sequence from the initial configuration to `last` by
 /// walking the parent-pointer store (quiescent after the workers join).
-fn reconstruct_trace(
-    visited: &VisitedStore<Parent>,
-    last: &Config,
-) -> Vec<(Tid, Config)> {
+fn reconstruct_trace(visited: &ShardedFpMap<Parent>, last: &Config) -> Vec<(Tid, Config)> {
     let mut rev: Vec<(Tid, Config)> = Vec::new();
     let mut cur = last.clone();
-    while let Some(Some((parent, tid))) = visited.get_cloned(&cur) {
+    while let Some(Some((parent, tid))) = visited.get_cloned(cur.canonical_fingerprint(), &cur) {
         rev.push((tid, cur));
         cur = parent;
     }
     rev.reverse();
     rev
-}
-
-/// Statistics a [`par_walk`] hands back alongside the visited map.
-pub(crate) struct WalkStats {
-    /// Distinct canonical configurations counted (clamped to
-    /// `max_states` when the cap was hit, matching the sequential oracle).
-    pub states: usize,
-    /// Transitions generated.
-    pub transitions: usize,
-    /// Terminal configurations where every thread halted.
-    pub terminated: Vec<Config>,
-    /// Terminal configurations with a blocked thread.
-    pub deadlocked: Vec<Config>,
-    /// Why the walk stopped (`Complete` = exhausted the space; anything
-    /// else = sound lower bound). Budget trips, cancellation, the state
-    /// cap and contained worker faults all land here, max-combined.
-    pub stop: StopReason,
-    /// Structured degradation/fault warnings (POR/DPOR/symmetry caps,
-    /// contained worker panics).
-    pub notes: Vec<Note>,
 }
 
 /// One unit of parallel work: a canonical configuration, the mask of
@@ -905,23 +370,29 @@ struct WorkItem {
     first: bool,
 }
 
-/// The shared batched work-stealing walk both parallel checkers run on:
-/// expands every reached canonical configuration exactly once (plus POR
-/// wake-up re-expansions of newly woken threads) and drives three
-/// callbacks —
+impl WorkItem {
+    fn new((cfg, mask, sleep): Queued, first: bool) -> WorkItem {
+        WorkItem { cfg, mask, sleep, first }
+    }
+}
+
+/// Exhaustive parallel reachability: the batched work-stealing walk
+/// behind [`crate::engine::Engine::Parallel`] and the parallel outline
+/// checker. Semantically identical to
+/// [`crate::explore::Explorer::explore_with`]: same state, transition and
+/// terminal counts and the same violation set — including counterexample
+/// traces when [`ExploreOptions::record_traces`] is set (the differential
+/// suite enforces this). Two callbacks:
 ///
-/// * `edge_value(parent, tid)` — the value stored in the visited store for
-///   a successor first discovered over that edge (the engine stores parent
-///   pointers here, the outline checker `()`);
 /// * `on_edge(parent, tid, successor)` — every generated edge, visited or
 ///   not (annotation classification). The successor is handed **raw**
-///   (non-canonical): the fingerprint path never materialises canonical
-///   forms for duplicate successors, so callers that need the canonical
-///   form (the outline checker) canonicalise themselves;
-/// * `on_novel(config, buf)` — each canonical configuration exactly once,
-///   at first discovery (property checks), with a reusable worker-local
-///   string buffer so violation-free configurations allocate nothing;
-///   also called for the initial configuration before the workers start.
+///   (non-canonical): duplicate successors never materialise a canonical
+///   form, so callers that need it (the outline checker) canonicalise
+///   themselves;
+/// * `check(config, buf)` — each canonical configuration exactly once, at
+///   first discovery (the initial one included), and under symmetry each
+///   of its orbit members, with a reusable worker-local string buffer so
+///   violation-free configurations allocate nothing.
 ///
 /// **Scheduling**: each worker drains a private LIFO backlog before
 /// touching the shared injector; novel successors feed that backlog
@@ -932,29 +403,24 @@ struct WorkItem {
 /// never re-queue through it at all.
 ///
 /// The state cap is enforced against a racy running counter, so the store
-/// may transiently overshoot `opts.max_states`; the returned
-/// [`WalkStats`] reconciles that to the sequential oracle's verdict
-/// (truncated, `states == max_states`) whenever the cap was exceeded, so
-/// cap-hitting runs agree across engines.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn par_walk<V, FV, FE, FN>(
+/// may transiently overshoot `opts.max_states`; the report reconciles that
+/// to the sequential oracle's verdict (truncated, `states == max_states`)
+/// whenever the cap was exceeded, so cap-hitting runs agree across
+/// engines.
+pub(crate) fn walk(
     prog: &CfgProgram,
     objs: &(dyn ObjectSemantics + Sync),
     opts: &ExploreOptions,
     n_workers: usize,
-    init_value: V,
-    edge_value: FV,
-    on_edge: FE,
-    on_novel: FN,
-) -> (VisitedStore<V>, WalkStats)
-where
-    V: Clone + Send + Sync,
-    FV: Fn(&Config, Tid) -> V + Sync,
-    FE: Fn(&Config, Tid, &Config) + Sync,
-    FN: Fn(&Config, &mut Vec<String>) + Sync,
-{
+    on_edge: impl Fn(&Config, Tid, &Config) + Sync,
+    check: impl Fn(&Config, &mut Vec<String>) + Sync,
+) -> EngineReport {
+    let run_start = Instant::now();
+    // Telemetry rides as a delta: snapshot the (possibly shared,
+    // cumulative) sink at entry and attach only this run's contribution.
     let tel = opts.telemetry.clone();
-    let visited: VisitedStore<V> = VisitedStore::new(opts.fingerprint, 6, tel.clone());
+    let tel0 = tel.as_ref().map(|t| t.snapshot());
+    let visited: ShardedFpMap<Parent> = ShardedFpMap::new(6);
     let injector: Injector<Vec<WorkItem>> = Injector::new();
     // Worker indices for the per-worker expansion slots: handed out
     // first-come by the spawned threads themselves, so the spawn loop
@@ -979,56 +445,48 @@ where
     let mem_bytes = AtomicUsize::new(0);
     // Stringified panic payloads of contained worker faults.
     let faults: Mutex<Vec<String>> = Mutex::new(Vec::new());
-    let deadline = opts.budget.deadline.map(|d| Instant::now() + d);
+    let gate = Gate::new(opts);
     let terminated: Mutex<Vec<Config>> = Mutex::new(Vec::new());
     let deadlocked: Mutex<Vec<Config>> = Mutex::new(Vec::new());
-    let n_threads = prog.n_threads();
-    let mut notes: Vec<Note> = Vec::new();
-    // Thread masks only exist on the POR path, which caps programs at 64
-    // bits; larger programs fall back to the unreduced search (which
-    // iterates threads by index and supports any count `Tid` can name),
-    // surfaced as a structured note.
-    let mut por = opts.por || opts.dpor;
-    if por && n_threads > 64 {
-        por = false;
-        notes.push(Note::PorThreadCap { threads: n_threads });
-        if let Some(t) = &tel {
-            t.incr(Counter::CapDegradations);
-        }
-    }
-    let full = if por { por::full_mask(n_threads) } else { !0 };
-    let (spec, capped_orbit) = sym::active_spec(prog, opts.symmetry);
-    if let Some(orbit) = capped_orbit {
-        notes.push(Note::SymmetryOrbitCap { orbit });
-        if let Some(t) = &tel {
-            t.incr(Counter::CapDegradations);
-        }
-    }
-    let symm = spec.as_ref();
-    let statics = por.then(|| rc11_analyze::conflict_matrix(prog));
-    // Persistent-set machinery (A7): `None` unless dpor is on *and* the
-    // program fits the 128-location future-footprint capacity — otherwise
-    // degrade to sleep-sets-only, which is sound (and noted).
-    let pers = (por && opts.dpor).then(|| rc11_analyze::future_footprints(prog)).flatten();
-    if por && opts.dpor && pers.is_none() {
-        notes.push(Note::DporLocationCap);
-        if let Some(t) = &tel {
-            t.incr(Counter::CapDegradations);
-        }
-    }
+    let kernel = Kernel::new(prog, opts);
+    let (por, symm) = (kernel.por, kernel.symm());
     let n_workers = n_workers.max(1);
 
+    // Violations as (what, config, orbit origin); traces are attached
+    // after the join, once the parent-pointer store is quiescent. For an
+    // orbit-member violation the origin carries the interned
+    // representative (where the parent-pointer walk must start) and the
+    // group permutation `π` mapping the representative chain onto the
+    // member's.
+    type Origin = Option<(Config, Vec<u8>)>;
+    let found: Mutex<Vec<(String, Config, Origin)>> = Mutex::new(Vec::new());
+    let on_novel = |canon: &Config, buf: &mut Vec<String>| {
+        check(canon, buf);
+        if !buf.is_empty() {
+            let mut f = found.lock();
+            for what in buf.drain(..) {
+                f.push((what, canon.clone(), None));
+            }
+        }
+        // Under symmetry the check must see every orbit member too.
+        if let Some(spec) = symm {
+            for (pi, member) in sym::orbit_members(spec, canon) {
+                check(&member, buf);
+                if !buf.is_empty() {
+                    let mut f = found.lock();
+                    for what in buf.drain(..) {
+                        f.push((what, member.clone(), Some((canon.clone(), pi.clone()))));
+                    }
+                }
+            }
+        }
+    };
+
     let init = Config::initial(prog).canonical();
-    let mut init_buf = Vec::new();
-    on_novel(&init, &mut init_buf);
-    debug_assert!(init_buf.is_empty(), "on_novel must drain its buffer");
-    // Retry re-submissions go through `filter`/`commit`, which need a value
-    // for the (impossible) novel case; any placeholder does, the duplicate
-    // path discards it.
-    let retry_val = init_value.clone();
-    let init_prop = pers.as_ref().map_or(full, |p| p.persistent_mask(init.pcs()));
+    on_novel(&init, &mut Vec::new());
+    let init_prop = kernel.proposal(&init);
     mem_bytes.store(init.approx_bytes(), Ordering::SeqCst);
-    visited.insert_init(init.clone(), init_value, init_prop);
+    visited.insert_init(init.clone(), None, init_prop);
     n_states.store(1, Ordering::SeqCst);
     pending.store(1, Ordering::SeqCst);
     if let Some(t) = &tel {
@@ -1041,12 +499,13 @@ where
         for _ in 0..n_workers {
             scope.spawn(|_| {
                 let w = worker_ids.fetch_add(1, Ordering::Relaxed);
+                let tel = tel.as_deref();
                 let mut local: Vec<WorkItem> = Vec::new();
                 let mut buf: Vec<String> = Vec::new();
                 // Reused per-worker buffers: the successor under
-                // construction and its canonical permutations.
+                // construction and its canonical key.
                 let mut scratch = Config::initial(prog);
-                let mut perms = CanonPerms::default();
+                let mut key = Key::new(opts.fingerprint);
                 let mut is_idle = false;
                 loop {
                     match injector.steal() {
@@ -1071,36 +530,21 @@ where
                             // run from claiming completeness.
                             let drained = catch_unwind(AssertUnwindSafe(|| {
                             while let Some(item) = local.pop() {
-                                // Budget and cancellation gates, between
-                                // work items (mirroring the sequential
-                                // explorer's loop-head gates). All four
-                                // read *shared* state (the token, the
-                                // clock, the global counters), so every
-                                // worker trips on its own next item —
-                                // backlogs are dropped and the remaining
-                                // injector chunks are stolen and discarded,
-                                // draining the pending count to zero. A
-                                // recorded `WorkerFault` deliberately does
-                                // NOT trip this gate: survivors keep
-                                // exploring degraded.
-                                let tripped = if opts.cancel.is_cancelled() {
-                                    Some(StopReason::Cancelled)
-                                } else if deadline.is_some_and(|dl| Instant::now() >= dl) {
-                                    Some(StopReason::Deadline)
-                                } else if opts.budget.max_transitions.is_some_and(|cap| {
-                                    transitions.load(Ordering::Relaxed) >= cap
-                                }) {
-                                    Some(StopReason::TransitionCap)
-                                } else if opts.budget.max_mem_bytes.is_some_and(|cap| {
-                                    mem_bytes.load(Ordering::Relaxed) >= cap
-                                }) {
-                                    Some(StopReason::MemBudget)
-                                } else {
-                                    None
-                                };
-                                if let Some(reason) = tripped {
+                                // The budget gate reads *shared* state (the
+                                // token, the clock, the global counters),
+                                // so every worker trips on its own next
+                                // item — backlogs are dropped and the
+                                // remaining injector chunks are stolen and
+                                // discarded, draining the pending count to
+                                // zero. A recorded `WorkerFault`
+                                // deliberately does NOT trip it: survivors
+                                // keep exploring degraded.
+                                if let Some(reason) = gate.tripped(
+                                    || transitions.load(Ordering::Relaxed),
+                                    || mem_bytes.load(Ordering::Relaxed),
+                                ) {
                                     stop.fetch_max(reason.as_u8(), Ordering::Relaxed);
-                                    if let Some(t) = &tel {
+                                    if let Some(t) = tel {
                                         t.frontier_sub(1 + local.len() as u64);
                                     }
                                     local.clear();
@@ -1111,175 +555,83 @@ where
                                 if let Some(chaos) = &opts.chaos {
                                     chaos.on_expansion();
                                 }
-                                if let Some(t) = &tel {
+                                if let Some(t) = tel {
                                     t.add_expansions(w, 1);
                                     t.frontier_sub(1);
                                 }
                                 let WorkItem { cfg, mask, sleep, first } = item;
-                                let mut fps =
-                                    por.then(|| por::LazyFootprints::new(n_threads));
-                                let mut survivors: Vec<Survivor<V>> = Vec::new();
-                                let mut n_transitions = 0usize;
-                                let mut earlier: ThreadMask = 0;
-                                for t in 0..n_threads {
-                                    if por && mask & (1u64 << t) == 0 {
-                                        continue;
-                                    }
-                                    let child_sleep = match (&mut fps, &statics) {
-                                        (Some(fps), Some(cm)) => {
-                                            let cs = por::child_sleep_static(
-                                                prog,
-                                                &cfg,
-                                                fps,
-                                                cm.static_indep(),
-                                                sleep | earlier,
-                                                t,
-                                            );
-                                            earlier |= 1u64 << t;
-                                            cs
-                                        }
-                                        _ => 0,
-                                    };
-                                    let tid = Tid(t as u8);
-                                    // Successors are built, fingerprinted
-                                    // and duplicate-filtered in the worker's
-                                    // scratch buffer; only survivors (novel
-                                    // states and wake-up candidates) are
-                                    // canonicalised into owned states.
-                                    let n_succ = for_each_thread_successor(
-                                        prog,
-                                        objs,
-                                        &cfg,
-                                        t,
-                                        opts.step,
-                                        &mut scratch,
-                                        |succ| {
-                                            // Every edge, visited or not, raw.
-                                            on_edge(&cfg, tid, succ);
-                                            // The successor's persistent set
-                                            // (full without dpor): a pure
-                                            // function of the program counters,
-                                            // computed on the raw successor and
-                                            // transported through σ by the
-                                            // store (symmetric threads have
-                                            // equal future footprints).
-                                            let pmask = pers
-                                                .as_ref()
-                                                .map_or(full, |p| p.persistent_mask(succ.pcs()));
-                                            if por {
-                                                if let Some(tl) = &tel {
-                                                    // Reduction attribution per
-                                                    // successor (zero when the
-                                                    // reduction is off) — same
-                                                    // sites as the sequential
-                                                    // engine's.
-                                                    tl.add(
-                                                        Counter::SleepSetPrunes,
-                                                        (pmask & child_sleep).count_ones()
-                                                            as u64,
-                                                    );
-                                                    tl.add(
-                                                        Counter::PersistentSheds,
-                                                        (full & !pmask).count_ones() as u64,
-                                                    );
-                                                }
-                                            }
-                                            survivors.extend(visited.filter(
-                                                succ,
-                                                pmask & !child_sleep,
-                                                child_sleep,
-                                                symm,
-                                                por,
-                                                &mut perms,
-                                                || edge_value(&cfg, tid),
-                                            ));
-                                        },
-                                    );
-                                    n_transitions += n_succ;
-                                }
+                                // Successors are built, fingerprinted and
+                                // duplicate-filtered in the worker's scratch
+                                // buffer; only survivors (novel states and
+                                // wake-up candidates) are canonicalised
+                                // into owned states.
+                                let mut survivors: Vec<Survivor<Parent>> = Vec::new();
+                                let expansion = kernel.expand(
+                                    objs,
+                                    &cfg,
+                                    mask,
+                                    sleep,
+                                    first,
+                                    mask,
+                                    &mut scratch,
+                                    |tid, _, succ, prop, slp| {
+                                        on_edge(&cfg, tid, succ);
+                                        survivors.extend(visited.filter(
+                                            succ,
+                                            prop,
+                                            slp,
+                                            symm,
+                                            por,
+                                            &mut key,
+                                            || opts.record_traces.then(|| (cfg.clone(), tid)),
+                                            tel,
+                                        ));
+                                    },
+                                );
                                 // Shared counters are bumped once per
                                 // expansion, not per thread or successor:
                                 // with a cheap kernel their cache-line
                                 // traffic is what limits scaling.
-                                transitions.fetch_add(n_transitions, Ordering::Relaxed);
-                                if let Some(tl) = &tel {
-                                    tl.add(Counter::Transitions, n_transitions as u64);
-                                }
-                                let any_succ = n_transitions > 0;
-                                if !any_succ {
-                                    if first
-                                        // Only a first visit may classify,
-                                        // and only after probing the
-                                        // arrived-asleep threads (a fully
-                                        // slept state is not terminal; the
-                                        // probe stays out of the transition
-                                        // count — see `por::has_any_successor`).
-                                        && !por::has_any_successor(
-                                            prog,
-                                            objs,
-                                            &cfg,
-                                            full & !mask,
-                                            opts.step,
-                                            &mut scratch,
-                                        )
-                                    {
-                                        if cfg.terminated(prog) {
-                                            terminated.lock().push(cfg);
-                                        } else {
-                                            deadlocked.lock().push(cfg);
-                                        }
-                                    } else if pers.is_some() {
-                                        // Retry rule (dpor): every expanded
-                                        // thread was blocked — a persistent
-                                        // member stuck on a lock acquire,
-                                        // say — but the state is not
-                                        // terminal. Persistence cannot
-                                        // promise an outside thread will
-                                        // unblock a member, so grow the
-                                        // expansion to every non-slept
-                                        // thread with a real successor.
-                                        // The re-submission goes through
-                                        // the store's wake-up rule, which
+                                match expansion {
+                                    Expansion::Stepped(n) => {
+                                        transitions.fetch_add(n, Ordering::Relaxed);
+                                    }
+                                    Expansion::Terminated => {
+                                        terminated.lock().push(cfg);
+                                        continue;
+                                    }
+                                    Expansion::Deadlocked => {
+                                        deadlocked.lock().push(cfg);
+                                        continue;
+                                    }
+                                    Expansion::Retry(rest) => {
+                                        // The re-submission goes through the
+                                        // store's wake-up rule, which
                                         // computes the not-yet-explored
                                         // remainder under the shard lock —
-                                        // racing retries of one state
-                                        // dedup to a single re-expansion.
-                                        let rest = full & !mask & !sleep;
-                                        if rest != 0
-                                            && por::has_any_successor(
-                                                prog,
-                                                objs,
-                                                &cfg,
-                                                rest,
-                                                opts.step,
-                                                &mut scratch,
-                                            )
-                                        {
-                                            let retry = visited.filter(
-                                                &cfg,
-                                                mask | rest,
-                                                sleep,
-                                                symm,
-                                                por,
-                                                &mut perms,
-                                                || retry_val.clone(),
-                                            );
-                                            let (_, woken) =
-                                                visited.commit(retry.into_iter().collect());
-                                            for (canon, missing, slp) in woken {
-                                                if let Some(t) = &tel {
-                                                    t.frontier_add(1);
-                                                }
-                                                local.push(WorkItem {
-                                                    cfg: canon,
-                                                    mask: missing,
-                                                    sleep: slp,
-                                                    first: false,
-                                                });
-                                            }
+                                        // racing retries of one state dedup
+                                        // to a single re-expansion.
+                                        let retry = visited.filter(
+                                            &cfg,
+                                            mask | rest,
+                                            sleep,
+                                            symm,
+                                            por,
+                                            &mut key,
+                                            || None,
+                                            tel,
+                                        );
+                                        let (_, woken) =
+                                            visited.commit(retry.into_iter().collect(), tel);
+                                        if let Some(t) = tel {
+                                            t.frontier_add(woken.len() as u64);
                                         }
+                                        local.extend(
+                                            woken.into_iter().map(|q| WorkItem::new(q, false)),
+                                        );
+                                        continue;
                                     }
-                                    continue;
+                                    Expansion::Empty => continue,
                                 }
                                 if n_states.load(Ordering::Relaxed) >= opts.max_states {
                                     // Cap hit: keep draining the queue (so
@@ -1288,43 +640,27 @@ where
                                     // successors, marking truncation only
                                     // if one actually existed — mirroring
                                     // the sequential explorers.
-                                    if survivors.iter().any(|t| !visited.contains_canon(&t.canon)) {
+                                    if survivors.iter().any(|t| !visited.contains(t.fp, &t.canon)) {
                                         truncated.store(true, Ordering::Relaxed);
                                     }
                                     continue;
                                 }
-                                let (novel, woken) = visited.commit(survivors);
+                                let (novel, woken) = visited.commit(survivors, tel);
                                 let n_queued = novel.len() + woken.len();
                                 n_states.fetch_add(novel.len(), Ordering::Relaxed);
                                 mem_bytes.fetch_add(
                                     novel.iter().map(|(c, ..)| c.approx_bytes()).sum(),
                                     Ordering::Relaxed,
                                 );
-                                if let Some(t) = &tel {
+                                if let Some(t) = tel {
                                     t.add(Counter::States, novel.len() as u64);
                                 }
-                                for (canon, explored, slp) in novel {
-                                    on_novel(&canon, &mut buf);
-                                    debug_assert!(
-                                        buf.is_empty(),
-                                        "on_novel must drain its buffer"
-                                    );
-                                    local.push(WorkItem {
-                                        cfg: canon,
-                                        mask: explored,
-                                        sleep: slp,
-                                        first: true,
-                                    });
+                                for q in novel {
+                                    on_novel(&q.0, &mut buf);
+                                    local.push(WorkItem::new(q, true));
                                 }
-                                for (canon, missing, slp) in woken {
-                                    local.push(WorkItem {
-                                        cfg: canon,
-                                        mask: missing,
-                                        sleep: slp,
-                                        first: false,
-                                    });
-                                }
-                                if let Some(t) = &tel {
+                                local.extend(woken.into_iter().map(|q| WorkItem::new(q, false)));
+                                if let Some(t) = tel {
                                     t.frontier_add(n_queued as u64);
                                 }
                                 // Share the oldest chunk when the backlog
@@ -1342,7 +678,7 @@ where
                                     let k = (local.len() / 2).min(FLUSH_BATCH);
                                     let shared: Vec<WorkItem> = local.drain(..k).collect();
                                     pending.fetch_add(1, Ordering::SeqCst);
-                                    if let Some(t) = &tel {
+                                    if let Some(t) = tel {
                                         t.incr(Counter::InjectorFlushes);
                                     }
                                     injector.push(shared);
@@ -1351,11 +687,8 @@ where
                                     // the private backlog — the keep-local
                                     // scheduling win the telemetry
                                     // attributes.
-                                    if let Some(t) = &tel {
-                                        t.add(
-                                            Counter::KeepLocalRetained,
-                                            n_queued as u64,
-                                        );
+                                    if let Some(t) = tel {
+                                        t.add(Counter::KeepLocalRetained, n_queued as u64);
                                     }
                                 }
                             }
@@ -1412,125 +745,44 @@ where
     })
     .expect("uncontained worker panic escaped catch_unwind");
 
+    let mut report = EngineReport {
+        transitions: transitions.into_inner(),
+        terminated: terminated.into_inner(),
+        deadlocked: deadlocked.into_inner(),
+        stop: StopReason::from_u8(stop.into_inner()),
+        notes: kernel.notes.clone(),
+        ..Default::default()
+    };
     // Reconcile the racy cap: when workers overshot `max_states`, report
     // the sequential oracle's verdict — `StateCap`, with `states` clamped
     // to the cap (still a valid lower bound on the reachable space).
-    let mut states = visited.len();
-    let mut final_stop = StopReason::from_u8(stop.into_inner());
-    if truncated.into_inner() || states > opts.max_states {
-        final_stop.bump(StopReason::StateCap);
-        states = states.min(opts.max_states);
+    report.states = visited.len();
+    if truncated.into_inner() || report.states > opts.max_states {
+        report.stop.bump(StopReason::StateCap);
+        report.states = report.states.min(opts.max_states);
     }
     // A cancellation that raced the final items must still be reported: a
     // cancelled run never claims `Complete`.
     if opts.cancel.is_cancelled() {
-        final_stop.bump(StopReason::Cancelled);
+        report.stop.bump(StopReason::Cancelled);
     }
     for message in faults.into_inner() {
-        final_stop.bump(StopReason::WorkerFault);
-        let note = Note::WorkerFault { message };
-        if !notes.contains(&note) {
-            notes.push(note);
-        }
+        report.stop.bump(StopReason::WorkerFault);
+        report.note(Note::WorkerFault { message });
     }
-
-    if let Some(t) = &tel {
-        // The store is quiescent after the join: record the exact
-        // per-shard occupancy histogram and zero the (now empty) frontier
-        // gauge — the drain paths above keep it balanced, but clamping
-        // here makes end-of-run snapshots exact regardless of races.
-        t.record_shard_occupancy(&visited.shard_occupancy());
-        t.frontier_set(0);
-    }
-
-    let stats = WalkStats {
-        states,
-        transitions: transitions.into_inner(),
-        terminated: terminated.into_inner(),
-        deadlocked: deadlocked.into_inner(),
-        stop: final_stop,
-        notes,
-    };
-    (visited, stats)
-}
-
-/// Exhaustive parallel reachability with a property callback. Semantically
-/// identical to [`crate::explore::Explorer::explore_with`]: same state,
-/// transition and terminal counts and the same violation set — including
-/// counterexample traces when [`ExploreOptions::record_traces`] is set
-/// (the differential suite enforces this). Prefer going through
-/// [`crate::engine::Engine`] / [`crate::engine::choose_engine`].
-pub fn par_explore(
-    prog: &CfgProgram,
-    objs: &(dyn ObjectSemantics + Sync),
-    opts: &ExploreOptions,
-    n_workers: usize,
-    check: impl Fn(&Config, &mut Vec<String>) + Sync,
-) -> EngineReport {
-    // Same detection `par_walk` runs (it is deterministic and cheap):
-    // under symmetry reduction the check callback must additionally see
-    // every non-representative orbit member, and terminal sets must be
-    // orbit-expanded back to the unreduced search's. The cap note is
-    // `par_walk`'s to report.
-    let (spec, _) = sym::active_spec(prog, opts.symmetry);
-
-    // Violations as (what, config, orbit origin); traces are attached
-    // after the join, once the parent-pointer store is quiescent. For an
-    // orbit-member violation the origin carries the interned
-    // representative (where the parent-pointer walk must start) and the
-    // group permutation `π` mapping the representative chain onto the
-    // member's.
-    type Origin = Option<(Config, Vec<u8>)>;
-    let run_start = Instant::now();
-    // Telemetry rides as a delta: snapshot the (possibly shared,
-    // cumulative) sink at entry and attach only this run's contribution.
-    let tel0 = opts.telemetry.as_ref().map(|t| t.snapshot());
-    let found: Mutex<Vec<(String, Config, Origin)>> = Mutex::new(Vec::new());
-
-    let (visited, mut stats) = par_walk(
-        prog,
-        objs,
-        opts,
-        n_workers,
-        None,
-        |parent, tid| opts.record_traces.then(|| (parent.clone(), tid)),
-        |_, _, _| {},
-        |canon, buf| {
-            check(canon, buf);
-            if !buf.is_empty() {
-                let mut f = found.lock();
-                for what in buf.drain(..) {
-                    f.push((what, canon.clone(), None));
-                }
-            }
-            if let Some(spec) = &spec {
-                for (pi, member) in sym::orbit_members(spec, canon) {
-                    check(&member, buf);
-                    if !buf.is_empty() {
-                        let mut f = found.lock();
-                        for what in buf.drain(..) {
-                            f.push((what, member.clone(), Some((canon.clone(), pi.clone()))));
-                        }
-                    }
-                }
-            }
-        },
-    );
-
-    if let Some(spec) = &spec {
-        sym::expand_terminals(spec, &mut stats.terminated);
-        sym::expand_terminals(spec, &mut stats.deadlocked);
+    if let Some(spec) = symm {
+        sym::expand_terminals(spec, &mut report.terminated);
+        sym::expand_terminals(spec, &mut report.deadlocked);
     }
     // Workers classify terminals in scheduling order; report them in a
     // fixed one, so a report does not depend on how work was shared.
-    stats.terminated.sort_unstable();
-    stats.deadlocked.sort_unstable();
-
-    let violations = found
+    report.terminated.sort_unstable();
+    report.deadlocked.sort_unstable();
+    report.violations = found
         .into_inner()
         .into_iter()
         .map(|(what, config, origin)| {
-            let trace = opts.record_traces.then(|| match (&origin, &spec) {
+            let trace = opts.record_traces.then(|| match (&origin, symm) {
                 // A member violation: walk the representative chain, then
                 // permute it onto the member's orbit copy (ending at the
                 // violating configuration because the original ended at
@@ -1543,31 +795,30 @@ pub fn par_explore(
             Violation { what, config, trace }
         })
         .collect();
-
-    EngineReport {
-        states: stats.states,
-        transitions: stats.transitions,
-        terminated: stats.terminated,
-        deadlocked: stats.deadlocked,
-        violations,
-        stop: stats.stop,
-        notes: stats.notes,
-        wall: run_start.elapsed(),
-        telemetry: match (&opts.telemetry, &tel0) {
-            (Some(t), Some(t0)) => Some(t.snapshot().delta(t0)),
-            _ => None,
-        },
+    if let (Some(t), Some(t0)) = (&tel, &tel0) {
+        // The store is quiescent after the join: record the exact
+        // per-shard occupancy histogram and zero the (now empty) frontier
+        // gauge — the drain paths above keep it balanced, but clamping
+        // here makes end-of-run snapshots exact regardless of races.
+        t.record_shard_occupancy(&visited.shard_occupancy());
+        t.frontier_set(0);
+        report.telemetry = Some(t.snapshot().delta(t0));
     }
+    report.wall = run_start.elapsed();
+    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Engine;
     use crate::explore::Explorer;
+    use proptest::prelude::*;
     use rc11_lang::builder::*;
     use rc11_lang::compile;
     use rc11_lang::machine::NoObjects;
     use rc11_objects::AbstractObjects;
+    use std::collections::HashSet;
 
     fn sb_prog() -> rc11_lang::CfgProgram {
         let mut p = ProgramBuilder::new("sb");
@@ -1582,6 +833,10 @@ mod tests {
         compile(&p.build())
     }
 
+    fn par(workers: usize) -> Engine {
+        Engine::Parallel { workers }
+    }
+
     #[test]
     fn parallel_matches_sequential_state_count() {
         let prog = sb_prog();
@@ -1589,7 +844,7 @@ mod tests {
         for workers in [1, 2, 4] {
             for fingerprint in [true, false] {
                 let opts = ExploreOptions { fingerprint, ..Default::default() };
-                let par_report = par_explore(&prog, &NoObjects, &opts, workers, |_, _| {});
+                let par_report = par(workers).explore(&prog, &NoObjects, &opts);
                 assert_eq!(
                     par_report.states, seq_report.states,
                     "workers = {workers}, fingerprint = {fingerprint}"
@@ -1612,8 +867,7 @@ mod tests {
         }
         let prog = compile(&p.build());
         let seq_report = Explorer::new(&prog, &AbstractObjects).explore();
-        let par_report =
-            par_explore(&prog, &AbstractObjects, &ExploreOptions::default(), 4, |_, _| {});
+        let par_report = par(4).explore(&prog, &AbstractObjects, &ExploreOptions::default());
         assert_eq!(par_report.states, seq_report.states);
     }
 
@@ -1622,11 +876,10 @@ mod tests {
         let prog = sb_prog();
         // "r1 and r2 never both 0" is false under RA — the parallel checker
         // must find it and hand back a replayable trace.
-        let report = par_explore(
+        let report = par(4).explore_with(
             &prog,
             &NoObjects,
             &ExploreOptions::default(),
-            4,
             |cfg: &Config, out: &mut Vec<String>| {
                 if cfg.terminated(&prog)
                     && cfg.reg(0, rc11_lang::Reg(0)) == rc11_core::Val::Int(0)
@@ -1649,11 +902,11 @@ mod tests {
         let prog = sb_prog();
         let opts = ExploreOptions { record_traces: false, ..Default::default() };
         let report =
-            par_explore(&prog, &NoObjects, &opts, 2, |cfg: &Config, out: &mut Vec<String>| {
-            if cfg.terminated(&prog) {
-                out.push("terminal".into());
-            }
-        });
+            par(2).explore_with(&prog, &NoObjects, &opts, |cfg: &Config, out: &mut Vec<String>| {
+                if cfg.terminated(&prog) {
+                    out.push("terminal".into());
+                }
+            });
         assert!(!report.violations.is_empty());
         assert!(report.violations.iter().all(|v| v.trace.is_none()));
     }
@@ -1662,10 +915,39 @@ mod tests {
     fn truncation_is_reported() {
         let prog = sb_prog();
         let opts = ExploreOptions { max_states: 3, ..Default::default() };
-        let report = par_explore(&prog, &NoObjects, &opts, 2, |_, _| {});
+        let report = par(2).explore(&prog, &NoObjects, &opts);
         assert!(report.truncated());
         assert_eq!(report.stop, crate::engine::StopReason::StateCap);
         assert!(!report.ok());
+    }
+
+    /// Filter then commit raw `(configuration, value, proposal, sleep)`
+    /// successors in one batch, without symmetry, keyed by fingerprint.
+    fn insert<V>(
+        m: &ShardedFpMap<V>,
+        items: Vec<(Config, V, ThreadMask, ThreadMask)>,
+    ) -> (Vec<Queued>, Vec<Queued>) {
+        let mut key = Key::new(true);
+        let survivors = items
+            .into_iter()
+            .filter_map(|(raw, v, p, slp)| {
+                m.filter(&raw, p, slp, None, false, &mut key, || v, None)
+            })
+            .collect();
+        m.commit(survivors, None)
+    }
+
+    /// A small canonical configuration, and a survivor carrying it under
+    /// an arbitrary fingerprint: the store-level tests below key distinct
+    /// states by distinct fingerprints and confirm hits against this one
+    /// configuration.
+    fn cfg0() -> Config {
+        Config::initial(&sb_prog()).canonical()
+    }
+
+    fn survivor<V>(fp: u64, canon: &Config, val: V) -> Survivor<V> {
+        let fp = Fp128 { hi: 0, lo: fp };
+        Survivor { fp, canon: canon.clone(), sigma: None, val, proposal: !0, sleep: 0 }
     }
 
     /// The fingerprint store dedups representationally distinct raw forms
@@ -1682,25 +964,23 @@ mod tests {
         let canon = raw.canonical();
         assert_ne!(raw, canon, "raw successor ids differ from canonical ids");
 
-        let m: ShardedFpMap<Masked<u32>> = ShardedFpMap::new(3);
+        let m: ShardedFpMap<u32> = ShardedFpMap::new(3);
         // Same state under two representations in one batch: one winner
         // (the full-mask proposal makes wake-ups impossible, mirroring a
         // non-POR engine run).
-        let (novel, woken) =
-            m.insert_batch_por(vec![(raw.clone(), 1, !0, 0), (canon.clone(), 2, !0, 0)]);
+        let (novel, woken) = insert(&m, vec![(raw.clone(), 1, !0, 0), (canon.clone(), 2, !0, 0)]);
         assert_eq!(novel, vec![(canon.clone(), !0, 0)]);
         assert!(woken.is_empty());
         assert_eq!(m.len(), 1);
         // Across batches: both representations are already known.
-        let (novel, woken) =
-            m.insert_batch_por(vec![(canon.clone(), 3, !0, 0), (raw.clone(), 4, !0, 0)]);
+        let (novel, woken) = insert(&m, vec![(canon.clone(), 3, !0, 0), (raw.clone(), 4, !0, 0)]);
         assert!(novel.is_empty() && woken.is_empty());
-        assert!(m.contains_state(&raw));
-        assert!(m.contains_state(&canon));
-        assert!(!m.contains_state(&init));
-        assert_eq!(m.get_cloned(&canon).map(|v| v.val), Some(1), "first occurrence wins");
-        assert!(m.get_cloned(&init).is_none());
-        assert!(!m.is_empty());
+        let fp = canon.canonical_fingerprint();
+        assert_eq!(raw.canonical_fingerprint(), fp);
+        assert!(m.contains(fp, &canon));
+        assert!(!m.contains(init.canonical_fingerprint(), &init));
+        assert_eq!(m.get_cloned(fp, &canon), Some(1), "first occurrence wins");
+        assert!(m.get_cloned(init.canonical_fingerprint(), &init).is_none());
     }
 
     /// The POR wake-up rule at the store level: a duplicate arriving with
@@ -1716,80 +996,80 @@ mod tests {
         let raw = succs[0].1.clone();
         let canon = raw.canonical();
 
-        let m: ShardedFpMap<Masked<u32>> = ShardedFpMap::new(3);
+        let m: ShardedFpMap<u32> = ShardedFpMap::new(3);
         // First arrival: threads {0} explored, thread 1 slept.
-        let (novel, woken) = m.insert_batch_por(vec![(raw.clone(), 1, 0b01, 0b10)]);
+        let (novel, woken) = insert(&m, vec![(raw.clone(), 1, 0b01, 0b10)]);
         assert_eq!(novel, vec![(canon.clone(), 0b01, 0b10)]);
         assert!(woken.is_empty());
         // A smaller-or-equal proposal is absorbed silently.
-        let (novel, woken) = m.insert_batch_por(vec![(canon.clone(), 2, 0b01, 0b10)]);
+        let (novel, woken) = insert(&m, vec![(canon.clone(), 2, 0b01, 0b10)]);
         assert!(novel.is_empty() && woken.is_empty());
         // A larger proposal wakes exactly the missing thread, handing the
         // re-expansion the *arriving* sleep set…
-        let (novel, woken) = m.insert_batch_por(vec![(raw.clone(), 3, 0b11, 0)]);
+        let (novel, woken) = insert(&m, vec![(raw.clone(), 3, 0b11, 0)]);
         assert!(novel.is_empty());
         assert_eq!(woken, vec![(canon.clone(), 0b10, 0)]);
         // …and only once: the stored mask has grown.
-        let (novel, woken) = m.insert_batch_por(vec![(canon, 4, 0b11, 0)]);
+        let (novel, woken) = insert(&m, vec![(canon, 4, 0b11, 0)]);
         assert!(novel.is_empty() && woken.is_empty());
     }
 
+    /// The sharded visited set dedups: a state committed twice is novel
+    /// once.
     #[test]
     fn sharded_set_dedups() {
-        let s: ShardedSet<u64> = ShardedSet::new(4);
-        assert!(s.insert(1));
-        assert!(!s.insert(1));
-        assert!(s.insert(2));
-        assert_eq!(s.len(), 2);
-        assert!(!s.is_empty());
+        let c = cfg0();
+        let m: ShardedFpMap<()> = ShardedFpMap::new(4);
+        assert_eq!(m.commit(vec![survivor(1, &c, ())], None).0.len(), 1);
+        assert_eq!(m.commit(vec![survivor(1, &c, ())], None).0.len(), 0);
+        assert_eq!(m.commit(vec![survivor(2, &c, ())], None).0.len(), 1);
+        assert_eq!(m.len(), 2);
     }
 
-    /// Racing inserts of the same values from many threads: each distinct
-    /// value must be reported new by exactly one thread.
+    /// Racing commits of the same states from many threads: each distinct
+    /// state must be reported novel by exactly one thread.
     #[test]
     fn sharded_set_concurrent_insert_unique_winner() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-
         const VALUES: u64 = 2_000;
         const THREADS: usize = 8;
-        let s: ShardedSet<u64> = ShardedSet::new(4);
+        let c = cfg0();
+        let m: ShardedFpMap<()> = ShardedFpMap::new(4);
         let wins = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             for t in 0..THREADS {
-                let (s, wins) = (&s, &wins);
+                let (m, wins, c) = (&m, &wins, &c);
                 scope.spawn(move || {
                     // Interleave directions so threads collide on the same
-                    // values at the same time instead of racing in lockstep.
+                    // states at the same time instead of racing in lockstep.
                     for i in 0..VALUES {
                         let v = if t % 2 == 0 { i } else { VALUES - 1 - i };
-                        if s.insert(v) {
-                            wins.fetch_add(1, Ordering::Relaxed);
-                        }
+                        let novel = m.commit(vec![survivor(v, c, ())], None).0.len();
+                        wins.fetch_add(novel, Ordering::Relaxed);
                     }
                 });
             }
         });
-        assert_eq!(wins.into_inner(), VALUES as usize, "each value must have one winner");
-        assert_eq!(s.len(), VALUES as usize);
+        assert_eq!(wins.into_inner(), VALUES as usize, "each state must have one winner");
+        assert_eq!(m.len(), VALUES as usize);
     }
 
-    /// The configured shard count is honored even for hash distributions
-    /// that are unfriendly to power-of-two masking (stride-aligned keys):
-    /// every shard must receive elements and the per-shard totals must sum
-    /// to `len()`.
+    /// The configured shard count is honored even for fingerprint
+    /// distributions that are unfriendly to power-of-two masking
+    /// (stride-aligned keys): every shard must receive states and the
+    /// per-shard totals must sum to `len()`.
     #[test]
     fn sharded_set_spreads_awkward_distributions() {
+        let c = cfg0();
         for shard_bits in [1u32, 3, 5] {
-            let s: ShardedSet<u64> = ShardedSet::new(shard_bits);
-            assert_eq!(s.shard_occupancy().len(), 1 << shard_bits);
+            let m: ShardedFpMap<()> = ShardedFpMap::new(shard_bits);
+            assert_eq!(m.shard_occupancy().len(), 1 << shard_bits);
             // Stride-128 keys: low bits constant, so a naive `hash & mask`
-            // of an identity-style hash would land everything in one shard.
-            for i in 0..4_096u64 {
-                assert!(s.insert(i * 128));
-            }
-            let per_shard = s.shard_occupancy();
+            // would land everything in one shard.
+            let batch = (0..4_096u64).map(|i| survivor(i * 128, &c, ())).collect();
+            assert_eq!(m.commit(batch, None).0.len(), 4_096);
+            let per_shard = m.shard_occupancy();
             assert_eq!(per_shard.iter().sum::<usize>(), 4_096);
-            assert_eq!(s.len(), 4_096);
+            assert_eq!(m.len(), 4_096);
             let empty = per_shard.iter().filter(|&&n| n == 0).count();
             assert_eq!(
                 empty, 0,
@@ -1802,26 +1082,163 @@ mod tests {
 
     #[test]
     fn sharded_map_first_value_wins() {
-        let m: ShardedMap<u64, &str> = ShardedMap::new(3);
-        assert!(m.insert(7, "first"));
-        assert!(!m.insert(7, "second"));
-        assert_eq!(m.get_cloned(&7), Some("first"));
+        let c = cfg0();
+        let m: ShardedFpMap<&str> = ShardedFpMap::new(3);
+        assert_eq!(m.commit(vec![survivor(7, &c, "first")], None).0.len(), 1);
+        assert_eq!(m.commit(vec![survivor(7, &c, "second")], None).0.len(), 0);
+        assert_eq!(m.get_cloned(Fp128 { hi: 0, lo: 7 }, &c), Some("first"));
         assert_eq!(m.len(), 1);
-        assert!(!m.is_empty());
     }
 
     #[test]
     fn sharded_map_batch_insert_dedups_within_and_across_batches() {
-        let m: ShardedMap<u64, u64> = ShardedMap::new(4);
-        // Duplicate key inside one batch: first occurrence wins.
-        let novel = m.insert_batch(vec![(1, 10), (2, 20), (1, 11)]);
-        let mut sorted = novel.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![1, 2]);
-        assert_eq!(m.get_cloned(&1), Some(10));
-        // Across batches: already-present keys are filtered.
-        let novel = m.insert_batch(vec![(2, 21), (3, 30)]);
-        assert_eq!(novel, vec![3]);
+        let c = cfg0();
+        let m: ShardedFpMap<u64> = ShardedFpMap::new(4);
+        // Duplicate state inside one batch: first occurrence wins.
+        let batch = vec![survivor(1, &c, 10), survivor(2, &c, 20), survivor(1, &c, 11)];
+        assert_eq!(m.commit(batch, None).0.len(), 2);
+        assert_eq!(m.get_cloned(Fp128 { hi: 0, lo: 1 }, &c), Some(10));
+        // Across batches: already-present states are filtered.
+        assert_eq!(m.commit(vec![survivor(2, &c, 21), survivor(3, &c, 30)], None).0.len(), 1);
         assert_eq!(m.len(), 3);
+    }
+
+    /// Interleave each thread differently over the shared key list so the
+    /// threads collide on the same keys at the same time.
+    fn thread_order(values: &[u64], t: usize) -> Vec<u64> {
+        let mut v: Vec<u64> = values.to_vec();
+        let n = v.len().max(1);
+        match t % 3 {
+            0 => {}
+            1 => v.reverse(),
+            _ => v.rotate_left(t % n),
+        }
+        v
+    }
+
+    /// Commit `keys` from `threads` racing threads in chunks of `batch`,
+    /// each thread's value its own index; returns the store and the number
+    /// of novel reports.
+    fn race(
+        keys: &[u64],
+        threads: usize,
+        batch: usize,
+        shard_bits: u32,
+    ) -> (ShardedFpMap<usize>, usize) {
+        let c = cfg0();
+        let m: ShardedFpMap<usize> = ShardedFpMap::new(shard_bits);
+        let wins = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for t in 0..threads {
+                let (m, wins, c, order) = (&m, &wins, &c, thread_order(keys, t));
+                scope.spawn(move || {
+                    for chunk in order.chunks(batch) {
+                        let items = chunk.iter().map(|&k| survivor(k, c, t)).collect();
+                        wins.fetch_add(m.commit(items, None).0.len(), Ordering::Relaxed);
+                    }
+                });
+            }
+        });
+        (m, wins.into_inner())
+    }
+
+    /// Interned-state count per shard after committing `keys` in one batch.
+    fn occupancy(keys: impl Iterator<Item = u64>, shard_bits: u32) -> Vec<usize> {
+        let c = cfg0();
+        let m: ShardedFpMap<()> = ShardedFpMap::new(shard_bits);
+        m.commit(keys.map(|k| survivor(k, &c, ())).collect(), None);
+        m.shard_occupancy()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Any interleaved concurrent commit sequence elects exactly one
+        /// winner per distinct state, and the quiescent `len()` is exact.
+        #[test]
+        fn set_concurrent_inserts_have_exactly_one_winner(
+            values in prop::collection::vec(0u64..4_096, 1..400),
+            threads in 2usize..7,
+            shard_bits in 0u32..7,
+        ) {
+            let distinct: HashSet<u64> = values.iter().copied().collect();
+            let (m, wins) = race(&values, threads, 1, shard_bits);
+            prop_assert_eq!(wins, distinct.len(), "one winner per distinct state");
+            prop_assert_eq!(m.len(), distinct.len(), "quiescent len() is exact");
+            prop_assert_eq!(m.shard_occupancy().iter().sum::<usize>(), distinct.len());
+        }
+
+        /// Same law, plus first-writer-wins on the value: the value stored
+        /// for each state is the one supplied by a real committer.
+        #[test]
+        fn map_concurrent_inserts_have_exactly_one_winner(
+            keys in prop::collection::vec(0u64..2_048, 1..300),
+            threads in 2usize..6,
+            shard_bits in 0u32..6,
+        ) {
+            let distinct: HashSet<u64> = keys.iter().copied().collect();
+            let (m, wins) = race(&keys, threads, 1, shard_bits);
+            prop_assert_eq!(wins, distinct.len(), "one winner per distinct state");
+            prop_assert_eq!(m.len(), distinct.len(), "quiescent len() is exact");
+            let c = cfg0();
+            for &k in &distinct {
+                let owner =
+                    m.get_cloned(Fp128 { hi: 0, lo: k }, &c).expect("committed state present");
+                prop_assert!(owner < threads, "stored value came from a real committer");
+            }
+        }
+
+        /// Batched commits obey the same exactly-one-winner law when racing
+        /// threads commit overlapping batches.
+        #[test]
+        fn map_concurrent_batch_inserts_have_exactly_one_winner(
+            keys in prop::collection::vec(0u64..1_024, 1..200),
+            threads in 2usize..6,
+            batch in 1usize..48,
+        ) {
+            let distinct: HashSet<u64> = keys.iter().copied().collect();
+            let (m, wins) = race(&keys, threads, batch, 4);
+            prop_assert_eq!(wins, distinct.len(), "one winner per distinct state");
+            prop_assert_eq!(m.len(), distinct.len());
+        }
+
+        /// Stride-aligned fingerprints (constant low bits — the classic
+        /// failure mode of masking a weak hash) populate every shard once
+        /// there are an order of magnitude more states than shards.
+        #[test]
+        fn stride_aligned_keys_populate_every_shard(
+            stride_log in 0u32..16,
+            base in 0u64..1_024,
+            shard_bits in 1u32..6,
+        ) {
+            let shards = 1usize << shard_bits;
+            let n_keys = (shards * 64) as u64;
+            let occ = occupancy((0..n_keys).map(|i| base + (i << stride_log)), shard_bits);
+            prop_assert_eq!(occ.len(), shards);
+            prop_assert_eq!(occ.iter().sum::<usize>(), n_keys as usize);
+            let empty = occ.iter().filter(|&&n| n == 0).count();
+            prop_assert_eq!(empty, 0, "no empty shard for stride 2^{}: {:?}", stride_log, occ);
+            let max = *occ.iter().max().expect("non-empty");
+            prop_assert!(
+                max <= (n_keys as usize) * 3 / 4,
+                "no shard may hold over three quarters of the states: {:?}",
+                occ
+            );
+        }
+
+        /// Low-entropy fingerprints that differ only in a narrow bit-window
+        /// still spread: occupancy is non-degenerate for every window
+        /// position.
+        #[test]
+        fn narrow_bit_window_keys_populate_every_shard(window_shift in 0u32..56) {
+            // 256 distinct values confined to one byte at an arbitrary shift.
+            let occ = occupancy((0u64..256).map(|v| v << window_shift), 4);
+            prop_assert_eq!(occ.iter().sum::<usize>(), 256);
+            let empty = occ.iter().filter(|&&n| n == 0).count();
+            prop_assert_eq!(
+                empty, 0,
+                "no empty shard for window shift {}: {:?}", window_shift, occ
+            );
+        }
     }
 }

@@ -12,8 +12,9 @@
 //!   count, budgets, cancellation and checkpointing are deliberately
 //!   *excluded*: the engines are proven report-identical by the
 //!   differential battery (so an answer computed at 1 worker serves a
-//!   4-worker request), and budget-truncated runs are never cached at
-//!   all — only [`StopReason::Complete`] verdicts are admitted;
+//!   4-worker request; under `dpor`, where the counts may differ between
+//!   engines, the key carries the engine family), and budget-truncated
+//!   runs are never cached at all — only [`StopReason::Complete`] verdicts are admitted;
 //! * the observed outcome set and pass verdict are computed from an
 //!   [`EngineReport`] (mirroring `rc11_litmus::run_with_opts`, pinned to
 //!   it by the daemon differential tests);
@@ -26,7 +27,7 @@ use crate::cache::{CacheStats, CacheTier, CachedVerdict, VerdictCache};
 use crate::chaos::ChaosState;
 use crate::checkpoint::CheckpointOpts;
 use crate::engine::{
-    choose_engine, Budget, CancelToken, EngineReport, ExploreOptions, Note, StopReason,
+    choose_engine, Budget, CancelToken, Engine, EngineReport, ExploreOptions, Note, StopReason,
 };
 use crate::fxhash::{Fp128, Fx128Hasher};
 use rc11_core::Val;
@@ -104,14 +105,24 @@ impl Default for CheckParams {
 /// attaching a sink must never change which cache entry a request maps
 /// to, so it is excluded here (a telemetry-on request can be served by a
 /// verdict computed with telemetry off, and vice versa).
+///
+/// The worker count is left out: both engines report the same states and
+/// transitions, so a verdict serves any worker count. Under `dpor` they
+/// need not (the counts are only bounded above and arrival order decides
+/// them, see [`ExploreOptions::dpor`]), so `dpor` keys also carry the
+/// engine family — 0 sequential, 1 parallel. Other keys are unchanged.
 pub fn option_words(params: &CheckParams) -> Vec<u64> {
-    vec![
+    let mut words = vec![
         params.max_states as u64,
         params.fingerprint as u64,
         params.por as u64,
         params.symmetry as u64,
         params.dpor as u64,
-    ]
+    ];
+    if params.dpor {
+        words.push(u64::from(choose_engine(params.workers) != Engine::Sequential));
+    }
+    words
 }
 
 /// Which path produced a response.

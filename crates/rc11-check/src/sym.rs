@@ -48,6 +48,7 @@ pub(crate) fn active_spec(
 
 /// The canonical permutations of `succ` with the symmetry choice
 /// installed in `perms.threads`.
+#[cfg(test)]
 pub(crate) fn sym_perms(spec: &SymmetrySpec, succ: &Config) -> CanonPerms {
     let mut perms = succ.canonical_perms();
     perms.threads = spec.choose(succ, &perms);

@@ -14,7 +14,7 @@
 //!
 //! Each violation's trace is replayed step by step through `successors`.
 
-use rc11_check::{choose_engine, par_explore, Engine, EngineReport, ExploreOptions, Violation};
+use rc11_check::{choose_engine, Engine, EngineReport, ExploreOptions, Violation};
 use rc11_lang::builder::*;
 use rc11_lang::cfg::CfgProgram;
 use rc11_lang::machine::{successors, Config, NoObjects, ObjectSemantics, StepOptions};
@@ -75,7 +75,7 @@ fn parallel_deadlock_configuration_has_replayable_trace() {
     assert!(!seq.deadlocked.is_empty(), "the double acquire must deadlock");
     assert_eq!(seq.violations.len(), seq.deadlocked.len());
 
-    let par = par_explore(&prog, &AbstractObjects, &opts, 4, check);
+    let par = Engine::Parallel { workers: 4 }.explore_with(&prog, &AbstractObjects, &opts, check);
     assert_eq!(par.deadlocked.len(), seq.deadlocked.len());
     assert_eq!(par.violations.len(), seq.violations.len());
     for v in &par.violations {
@@ -143,7 +143,7 @@ fn replayed_traces_carry_full_configurations() {
             out.push("t2 observed the published write".to_string());
         }
     };
-    let par = par_explore(&prog, &AbstractObjects, &opts, 4, check);
+    let par = Engine::Parallel { workers: 4 }.explore_with(&prog, &AbstractObjects, &opts, check);
     assert!(!par.violations.is_empty(), "t2 can read x = 1 after the publish");
     for v in &par.violations {
         assert_trace_replays(&prog, &AbstractObjects, opts.step, v);

@@ -503,6 +503,8 @@ struct ThreadCtx {
     span: Span,
     tb: ThreadBuilder,
     regs: Vec<(String, Span)>,
+    /// Statements parsed so far (see [`MAX_STATEMENTS`]).
+    stmts: u32,
 }
 
 impl ThreadCtx {
@@ -532,6 +534,17 @@ impl ThreadCtx {
 /// levels; the cap keeps even a debug build's recursion well inside a
 /// 2 MiB thread stack.
 pub const MAX_NESTING: u32 = 128;
+
+/// How many statements one thread may hold, counting those inside nested
+/// blocks. A thread body becomes a left-deep `Com::Seq` chain that later
+/// passes (compilation, visits, drop) walk recursively, one level per
+/// statement, so an unbounded body would overflow the stack just like
+/// unbounded nesting. On a 2 MiB thread stack (the daemon workers'
+/// default) a debug build checks about 1,400 statements and a release
+/// build about 10,000 before overflowing; the cap keeps a program at the
+/// limit — even with its statements nested [`MAX_NESTING`] deep — clear
+/// of both.
+pub const MAX_STATEMENTS: u32 = 1_024;
 
 struct Parser {
     toks: Vec<(Tok, Span)>,
@@ -696,6 +709,7 @@ impl Parser {
                         span: tspan,
                         tb: ThreadBuilder::new(),
                         regs: Vec::new(),
+                        stmts: 0,
                     });
                     self.expect(&Tok::LBrace, "to open the thread body")?;
                     let ti = self.threads.len() - 1;
@@ -900,6 +914,12 @@ impl Parser {
 
     fn parse_stmt(&mut self, ti: usize) -> Result<Com, ParseError> {
         let span = self.span();
+        let th = &mut self.threads[ti];
+        th.stmts += 1;
+        if th.stmts > MAX_STATEMENTS {
+            let msg = format!("thread `{}` has more than {MAX_STATEMENTS} statements", th.name);
+            return Err(self.err(span, msg));
+        }
         match self.peek().clone() {
             Tok::Ident(kw) if kw == "if" => {
                 self.bump();

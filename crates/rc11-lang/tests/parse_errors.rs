@@ -221,3 +221,30 @@ fn nesting_below_the_cap_still_parses() {
     let src = with_body(&format!("r = 0; {}{}", "if (true) { ".repeat(depth), "}".repeat(depth)));
     parse_litmus(&src).unwrap_or_else(|e| panic!("{e}"));
 }
+
+/// A thread body past `MAX_STATEMENTS` statements — counting those in
+/// nested blocks — is a span-carrying parse error pointing at the first
+/// statement over the cap, never a stack overflow in the passes that
+/// walk its `Seq` chain.
+#[test]
+fn overlong_thread_bodies_are_rejected_not_a_stack_overflow() {
+    use rc11_lang::parse::MAX_STATEMENTS;
+    let cap = MAX_STATEMENTS as usize;
+    for n in [cap + 1, 50_000] {
+        let e = err(&with_body(&"r = 1;\n".repeat(n)));
+        assert!(e.msg.contains(&format!("more than {MAX_STATEMENTS} statements")), "{}", e.msg);
+        assert_eq!(e.span.line as usize, 4 + cap, "the error points at the first excess statement");
+    }
+    // Statements in nested blocks count towards the same cap.
+    let block = format!("if (true) {{ {} }}\n", "r = 1; ".repeat(99));
+    let e = err(&with_body(&block.repeat(cap / 100 + 1)));
+    assert!(e.msg.contains("statements"), "{}", e.msg);
+}
+
+/// Up to the cap nothing changes.
+#[test]
+fn thread_bodies_up_to_the_statement_cap_still_parse() {
+    use rc11_lang::parse::MAX_STATEMENTS;
+    let src = with_body(&"r = 1;\n".repeat(MAX_STATEMENTS as usize));
+    parse_litmus(&src).unwrap_or_else(|e| panic!("{e}"));
+}

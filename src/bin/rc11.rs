@@ -70,8 +70,6 @@ RUN OPTIONS:
                              the --workers list, default 4)
   --workers <N[,N...]>       worker counts to run each test at; 1 = the
                              sequential reference engine (default: 1)
-  --no-fingerprint           use materialised-canonical dedup instead of
-                             zero-rebuild canonical fingerprints
   --por                      explore with sleep-set partial-order reduction
                              (ablation A5). Every test additionally runs
                              once unreduced: state counts and outcome sets
@@ -336,7 +334,6 @@ fn cmd_run(raw: &[String]) -> ExitCode {
         Ok(v) => v,
         Err(e) => return fail_usage(&e),
     };
-    let fingerprint = !opts.flag(&["--no-fingerprint"]);
     let por = opts.flag(&["--por"]);
     let symmetry = opts.flag(&["--symmetry"]);
     let dpor = opts.flag(&["--dpor"]);
@@ -425,7 +422,6 @@ fn cmd_run(raw: &[String]) -> ExitCode {
     let budget = rc11::check::Budget { deadline, max_transitions, max_mem_bytes: mem_budget };
     let base_params = CheckParams {
         max_states,
-        fingerprint,
         por,
         symmetry,
         dpor,
@@ -440,7 +436,6 @@ fn cmd_run(raw: &[String]) -> ExitCode {
     let explore_opts = rc11::check::ExploreOptions {
         record_traces: false,
         max_states,
-        fingerprint,
         por,
         symmetry,
         dpor,
@@ -455,7 +450,6 @@ fn cmd_run(raw: &[String]) -> ExitCode {
             Ok(f) => {
                 let mut w = rc11::check::TraceWriter::new(f);
                 let options = rc11::check::obj(vec![
-                    ("fingerprint", Json::Bool(fingerprint)),
                     ("por", Json::Bool(por)),
                     ("symmetry", Json::Bool(symmetry)),
                     ("dpor", Json::Bool(dpor)),
@@ -694,10 +688,9 @@ fn cmd_run(raw: &[String]) -> ExitCode {
 
     print!(
         "\n{} file(s): {passed} passed, {failed} failed, {broken} unreadable; \
-         engines: {:?} worker(s), fingerprint {}",
+         engines: {:?} worker(s)",
         files.len(),
         workers,
-        if fingerprint { "on" } else { "off" }
     );
     if por && por_transitions_total > 0 {
         print!(

@@ -32,7 +32,8 @@
 //!
 //! Every response carries `"ok"`; failures (parse errors, malformed
 //! requests, a full queue) are `{"ok":false,"error":"…"}` — the
-//! connection survives them. Check responses mirror
+//! connection survives them, except a line longer than
+//! [`MAX_REQUEST_LINE`], which is answered and then closes it. Check responses mirror
 //! [`CheckResponse`] field-for-field with stable encodings: values in
 //! the corpus literal syntax (`0`, `true`, `empty`, `bot`), stop
 //! reasons and notes via their `Display` strings, the fingerprint as 32
@@ -57,7 +58,7 @@ use rc11_core::Val;
 use rc11_lang::parse::val_literal;
 use rc11_telemetry::Telemetry;
 use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -392,7 +393,11 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                     .name("rc11d-conn".to_string())
                     .spawn(move || serve_conn(&shared2, stream))
                     .expect("spawn connection thread");
-                shared.conns.lock().expect("conns lock").push(handle);
+                // Reap closed connections here, so the list tracks the
+                // live ones instead of every connection ever accepted.
+                let mut conns = shared.conns.lock().expect("conns lock");
+                conns.retain(|h| !h.is_finished());
+                conns.push(handle);
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(10));
@@ -454,6 +459,11 @@ fn worker_loop(shared: &Arc<Shared>, worker: usize) {
     }
 }
 
+/// The longest request line the daemon reads, in bytes (newline
+/// included). Far above any real check request; a longer line gets an
+/// error response and the connection is closed.
+pub const MAX_REQUEST_LINE: usize = 4 << 20;
+
 fn serve_conn(shared: &Arc<Shared>, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     // A finite read timeout lets the thread notice daemon shutdown while
@@ -466,8 +476,18 @@ fn serve_conn(shared: &Arc<Shared>, stream: TcpStream) {
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     loop {
-        match reader.read_line(&mut line) {
+        // Read at most one byte past the cap, so a line that never ends
+        // cannot grow the buffer without limit.
+        let room = (MAX_REQUEST_LINE + 1).saturating_sub(line.len()) as u64;
+        match (&mut reader).take(room).read_line(&mut line) {
             Ok(0) => break,
+            Ok(_) if line.len() > MAX_REQUEST_LINE && !line.ends_with('\n') => {
+                // The rest of the line cannot be skipped without reading
+                // it, so answer and close the connection.
+                let msg = format!("bad request: line longer than {MAX_REQUEST_LINE} bytes");
+                let _ = writer.write_all((error_json(&msg).to_string_line() + "\n").as_bytes());
+                break;
+            }
             Ok(_) => {
                 if !line.trim().is_empty() {
                     let (response, stop) = handle_line(shared, &line);
@@ -792,5 +812,37 @@ impl Client {
     /// Ask the daemon to stop (it acknowledges, then drains and exits).
     pub fn shutdown(&mut self) -> io::Result<Json> {
         self.request(&obj(vec![("cmd", Json::Str("shutdown".to_string()))]))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Closed connections are reaped on the next accept: after 100
+    /// connect/ping/close cycles the connection list holds no more
+    /// handles than there are live connections.
+    #[test]
+    fn finished_connections_are_reaped() {
+        let handle = start(&DaemonConfig::default()).expect("daemon starts");
+        for _ in 0..100 {
+            let mut client = Client::connect(handle.addr()).expect("client connects");
+            assert!(client.ping().expect("daemon answers"));
+        }
+        // Let the closed connections' threads see end-of-stream and exit.
+        let conns = || handle.shared.conns.lock().expect("conns lock");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !conns().iter().all(JoinHandle::is_finished) && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let mut live: Vec<Client> =
+            (0..2).map(|_| Client::connect(handle.addr()).expect("client connects")).collect();
+        for client in &mut live {
+            assert!(client.ping().expect("daemon answers"));
+        }
+        let held = conns().len();
+        assert!(held <= live.len(), "{held} handles held for {} live connections", live.len());
+        drop(live);
+        handle.stop();
     }
 }

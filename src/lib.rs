@@ -62,7 +62,7 @@ pub mod prelude {
     pub use rc11_assert::dsl::*;
     pub use rc11_assert::{EvalCtx, OpPat, Pred, ProofOutline};
     pub use rc11_check::{
-        check_outline, check_outline_with, choose_engine, par_explore, sample_terminals, Budget,
+        check_outline, check_outline_with, choose_engine, sample_terminals, Budget,
         CancelToken, ChaosState, CheckpointOpts, Engine, EngineReport, ExploreOptions, Explorer,
         FaultPlan, Note, OutlineReport, StopReason,
     };

@@ -371,3 +371,57 @@ fn hostile_nesting_gets_an_error_response_and_the_daemon_lives_on() {
     assert!(client.ping().expect("daemon still answers"));
     handle.stop();
 }
+
+/// One thread of `n` `r = 1;` statements.
+fn long_thread(n: usize) -> String {
+    format!(
+        "litmus \"long\"\nthread T {{\n{}}}\nobserve T.r\nexpected {{ (1) }}\n",
+        "  r = 1;\n".repeat(n)
+    )
+}
+
+/// A thread body past `parse::MAX_STATEMENTS` is a parse error response,
+/// not a stack overflow that aborts the daemon, and the daemon keeps
+/// answering; a body at the cap still checks on a worker thread.
+#[test]
+fn overlong_thread_gets_an_error_response_and_the_daemon_lives_on() {
+    use rc11::lang::parse::MAX_STATEMENTS;
+    let handle = start(&DaemonConfig::default()).expect("daemon starts");
+    let mut client = Client::connect(handle.addr()).expect("client connects");
+    for n in [MAX_STATEMENTS as usize + 1, 50_000] {
+        let response = client.check(&long_thread(n)).expect("daemon answers");
+        assert!(!is_ok(&response));
+        let error = str_of(&response, "error");
+        assert!(error.starts_with("parse:") && error.contains("statements"), "{error}");
+        assert!(client.ping().expect("daemon still answers"));
+    }
+    let at_cap = client.check(&long_thread(MAX_STATEMENTS as usize)).expect("daemon answers");
+    assert!(is_ok(&at_cap), "{}", at_cap.to_string_line());
+    assert_eq!(at_cap.get("pass").and_then(Json::as_bool), Some(true));
+    handle.stop();
+}
+
+/// A request line longer than `daemon::MAX_REQUEST_LINE` gets an error
+/// response instead of growing the daemon's buffer without limit, and a
+/// fresh connection still pings.
+#[test]
+fn oversized_request_line_gets_an_error_response() {
+    use rc11::daemon::MAX_REQUEST_LINE;
+    use std::io::{BufRead, BufReader, Write};
+    let handle = start(&DaemonConfig::default()).expect("daemon starts");
+    let stream = std::net::TcpStream::connect(handle.addr()).expect("raw connection");
+    let mut writer = stream.try_clone().expect("clone stream");
+    let mut reader = BufReader::new(stream);
+    // One byte past the cap and no newline: the daemon must stop reading
+    // at the cap on its own. (Bytes it never reads would make its close
+    // a reset, which can drop the response before the client reads it.)
+    writer.write_all(&vec![b' '; MAX_REQUEST_LINE + 1]).expect("send oversized line");
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("daemon answers the oversized line");
+    let response = rc11::check::wire::parse_json(&line).expect("well-formed response");
+    assert!(!is_ok(&response));
+    assert!(str_of(&response, "error").contains("longer than"), "{line}");
+    let mut client = Client::connect(handle.addr()).expect("client connects");
+    assert!(client.ping().expect("daemon still answers"));
+    handle.stop();
+}

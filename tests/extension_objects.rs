@@ -144,12 +144,10 @@ fn parallel_explorer_agrees_on_object_programs() {
     let f = rc11::figures::fig7();
     let prog = compile(&f.prog);
     let seq_report = Explorer::new(&prog, &AbstractObjects).explore();
-    let par_report = par_explore(
+    let par_report = Engine::Parallel { workers: 4 }.explore(
         &prog,
         &AbstractObjects,
         &ExploreOptions { record_traces: false, ..Default::default() },
-        4,
-        |_, _| {},
     );
     assert_eq!(par_report.states, seq_report.states);
     assert_eq!(par_report.terminated.len(), seq_report.terminated.len());

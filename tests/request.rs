@@ -286,3 +286,24 @@ fn parallel_chaos_fault_reports_pass_through() {
         r.notes
     );
 }
+
+/// Under `dpor` the engines may report different state and transition
+/// counts, so a dpor verdict computed by one engine family must not serve
+/// the other: the sequential and the parallel request both explore. The
+/// non-dpor key stays worker-free (`workers_share_one_cache_entry` in
+/// `rc11_check::request`).
+#[test]
+fn dpor_keys_carry_the_engine_family() {
+    let service = CheckService::with_cache(VerdictCache::new(16));
+    let seq = CheckParams { workers: 1, dpor: true, ..CheckParams::default() };
+    let par = CheckParams { workers: 4, ..seq.clone() };
+    let a = service.check_source(MP, &seq).expect("parses");
+    assert_eq!(a.served, Served::Explored);
+    let b = service.check_source(MP, &par).expect("parses");
+    assert_eq!(b.served, Served::Explored, "a dpor verdict crossed engine families");
+    assert_ne!(a.fingerprint, b.fingerprint);
+    // Within one family the worker count still does not matter.
+    let c = service.check_source(MP, &CheckParams { workers: 2, ..seq }).expect("parses");
+    assert_eq!(c.served, Served::MemCache);
+    assert_eq!(c.fingerprint, b.fingerprint);
+}
